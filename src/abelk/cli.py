@@ -168,8 +168,6 @@ def _run(args) -> tuple[int, Report]:
     elif cmd == "height":
         g = _load_group(args.group)
         t = _tower(g)
-        if args.prime < 2:
-            raise InputError("prime must be >= 2")
         coords = ((1,) + (0,) * (t.rank - 1) if args.element is None
                   else _parse_coords(args.element, t.rank))
         h = height(t, GroupElement(0, coords), args.prime)

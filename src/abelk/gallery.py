@@ -21,7 +21,8 @@ from .fg import FgAbGroup, TorsionDesc
 from .groups import (AbGroupDesc, FreeOfRank, Rank1, TowerForm,
                      direct_sum_of, flatten)
 from .matrices import IntMatrix, RatMatrix, compound_matrix
-from .towers import INF, Supernatural, Tower, rank1_tower_from_supernatural
+from .towers import (INF, Supernatural, Tower, is_prime,
+                     rank1_tower_from_supernatural)
 from .wedge import (k0, k1, wedge_divisible_by_search, wedge_square_type,
                     wedge_unit_divisible)
 
@@ -242,11 +243,6 @@ def builtin_gallery(config: PairConfig | None = None
     return entries, notices
 
 
-def _is_prime_claim(m: int) -> bool:
-    from .towers import factorize
-    return factorize(m) == {m: 1}
-
-
 def _tower_of(g: AbGroupDesc) -> Tower:
     f = g.free
     if isinstance(f, (TowerForm, Rank1)):
@@ -329,16 +325,15 @@ def _verify_claim(e: GalleryEntry, c: Claim) -> ClaimResult:
         # the coprime-coefficient search certifies wedge divisibility for
         # every modulus and is equivalent to it for prime moduli
         t = _tower_of(gs[0])
-        cache: dict = {}
         for m in range(2, int(c.expected) + 1):
-            fast = wedge_divisible_by_search(t, m, cache)
+            fast = wedge_divisible_by_search(t, m)
             slow = wedge_unit_divisible(t, m)
             if fast and not slow:
                 return ClaimResult(
                     c.kind, FAIL,
                     f"m = {m}: search found an element but the wedge "
                     "tower denies divisibility")
-            if fast != slow and _is_prime_claim(m):
+            if fast != slow and is_prime(m):
                 return ClaimResult(
                     c.kind, FAIL,
                     f"prime m = {m}: search says {fast}, wedge tower "

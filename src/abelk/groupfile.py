@@ -19,7 +19,7 @@ from .groups import (AbGroupDesc, CompletelyDecomposable, DirectSum,
                      FreeOfRank, FreePart, OMEGA_COPIES, Rank1, TowerForm)
 from .matrices import IntMatrix, RatMatrix
 from .towers import (INF, Supernatural, Tower, TypeClass, characteristic,
-                     factorize, rank1_tower_from_supernatural, unit_element,
+                     is_prime, rank1_tower_from_supernatural, unit_element,
                      validate_tower)
 
 
@@ -43,10 +43,6 @@ def _fail(path: str, msg: str):
     raise ParseError(f"at {path or '$'}: {msg}")
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and factorize(p) == {p: 1}
-
-
 def _parse_supernatural(spec, path: str) -> Supernatural:
     if not isinstance(spec, dict) or not spec:
         _fail(path, "characteristic must be a non-empty object")
@@ -57,7 +53,7 @@ def _parse_supernatural(spec, path: str) -> Supernatural:
         if not isinstance(key, str) or not key.isdigit():
             _fail(kpath, f"prime expected, got {key!r}")
         p = int(key)
-        if not _is_prime(p):
+        if not is_prime(p):
             _fail(kpath, f"{p} is not prime")
         if p <= last:
             _fail(kpath, "primes must be listed in increasing order")

@@ -7,14 +7,23 @@ are equal iff they agree after pushing to a common stage.
 
 Divisibility, membership and p-heights are decided exactly:
 
-* for a fixed modulus p^k the residues of an element under the connecting
-  maps form an eventually-periodic orbit on a finite state space, so
-  reachability of 0 mod p^k is settled by cycle detection;
+* an element reaches 0 mod m at a stage bounded in advance, or never.
+  Past the prefix, the kernels of the powers Q^j of one period's product
+  Q (from any phase) on (Z/m)^r form an increasing chain of submodules.
+  That module has length r * Omega(m) < r * m.bit_length(), so by
+  Fitting's lemma the chain stops growing within that many periods: a
+  residue that is not 0 by then never becomes 0.  Walking the residues
+  that far, checking for 0 at every stage, gives the least stage or
+  proves there is none;
+* the same bound gives the stable power Q^N mod p^e (N >= r * e, by
+  repeated squaring) whose kernel and image are those of every later
+  power; p-ranks and the wedge divisibility search read it off;
 * infinite p-height is detected by a minimal-polynomial criterion: the
   p-valuation of the element's coordinates grows without bound iff every
   root of the minimal polynomial of the period product on the element's
   cyclic subspace has positive p-adic valuation, i.e. the polynomial is
-  congruent to a power of x mod p.
+  congruent to a power of x mod p.  The walk bounds no finite height, so
+  it cannot replace this test.
 """
 
 from __future__ import annotations
@@ -30,6 +39,42 @@ INF = float("inf")
 
 class ZeroElementError(ValueError):
     """Heights and characteristics are undefined for the zero element."""
+
+
+# the first 13 primes; as Miller-Rabin bases they decide primality of every
+# n < _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.
+
+    An n >= _MR_LIMIT with no factor among the bases raises ValueError
+    rather than risk a wrong answer.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -132,44 +177,25 @@ def elements_equal(t: Tower, e1: GroupElement, e2: GroupElement) -> bool:
     return push_to_stage(t, e1, s).coords == push_to_stage(t, e2, s).coords
 
 
-def _vec_mod(vec, mod):
-    return tuple(x % mod for x in vec)
+def _first_stage_reaching_zero(t: Tower, stage: int, vec,
+                               m: int) -> int | None:
+    """Least s >= stage with (transition to s)(vec) == 0 mod m, or None.
 
-
-def _apply_mod(m: IntMatrix, vec, mod):
-    return tuple(sum(a * b for a, b in zip(row, vec)) % mod
-                 for row in m.entries)
-
-
-def _first_stage_reaching_zero(t: Tower, stage: int, vec, p: int,
-                               k: int) -> int | None:
-    """Least s >= stage with (transition to s)(vec) == 0 mod p^k, or None.
-
-    Exact: past the prefix the residue orbit lives on a finite state space
-    keyed by (period phase, residue vector), so a repeated state proves
-    unreachability.
+    Exact: by the Fitting bound in the module docstring, a residue that
+    ever reaches 0 does so by stage
+    max(stage, prefix length) + rank * m.bit_length() * period length.
     """
-    mod = p ** k
-    a, b = len(t.prefix), len(t.period)
-    cur = _vec_mod(vec, mod)
+    last = (max(stage, len(t.prefix))
+            + t.rank * m.bit_length() * len(t.period))
+    cur = tuple(x % m for x in vec)
     s = stage
-    seen: set = set()
-    # quick exit: if p divides no determinant at or after the current stage,
-    # residues evolve invertibly and can never newly reach zero
-    while True:
-        if all(x == 0 for x in cur):
-            return s
-        if s >= a:
-            if b == 0:
-                return None
-            if (s - a) % b == 0 and t.period_product().det() % p != 0:
-                return None
-            state = ((s - a) % b, cur)
-            if state in seen:
-                return None
-            seen.add(state)
-        cur = _apply_mod(t.stage_matrix(s), cur, mod)
+    while any(cur):
+        if s == last:
+            return None
+        cur = tuple(sum(a * x for a, x in zip(row, cur)) % m
+                    for row in t.stage_matrix(s).entries)
         s += 1
+    return s
 
 
 def membership(t: Tower, v) -> GroupElement | None:
@@ -181,30 +207,21 @@ def membership(t: Tower, v) -> GroupElement | None:
     v = tuple(Fraction(x) for x in v)
     if len(v) != t.rank:
         raise ValueError("coordinate length does not match tower rank")
-    d = math.lcm(*(x.denominator for x in v)) if v else 1
-    if d == 1:
-        return GroupElement(0, tuple(int(x) for x in v))
+    d = math.lcm(*(x.denominator for x in v))
     w = tuple(int(x * d) for x in v)
-    best = 0
-    for p, k in factorize(d).items():
-        s = _first_stage_reaching_zero(t, 0, w, p, k)
-        if s is None:
-            return None
-        best = max(best, s)
-    coords = t.transition(0, best).to_rational().apply(v)
-    assert all(c.denominator == 1 for c in coords)
-    return GroupElement(best, tuple(int(c) for c in coords))
+    s = _first_stage_reaching_zero(t, 0, w, d)
+    if s is None:
+        return None
+    coords = t.transition(0, s).apply(w)
+    assert all(c % d == 0 for c in coords)
+    return GroupElement(s, tuple(c // d for c in coords))
 
 
 def is_divisible(t: Tower, e: GroupElement, m: int) -> bool:
     """Whether e is divisible by m within the limit group."""
     if m < 1:
         raise ValueError("divisor must be >= 1")
-    if m == 1 or e.is_zero:
-        return True
-    return all(
-        _first_stage_reaching_zero(t, e.stage, e.coords, p, k) is not None
-        for p, k in factorize(m).items())
+    return _first_stage_reaching_zero(t, e.stage, e.coords, m) is not None
 
 
 def _min_valuation(vec, p: int):
@@ -268,6 +285,8 @@ def _cyclic_min_poly(q: IntMatrix, vec) -> list[Fraction]:
 
 def height(t: Tower, e: GroupElement, p: int):
     """p-height of e in the limit group: an integer >= 0 or INF."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if e.is_zero:
         raise ZeroElementError("p-height of the zero element is undefined")
     a, b = len(t.prefix), len(t.period)
@@ -286,9 +305,9 @@ def height(t: Tower, e: GroupElement, p: int):
     if all(c.numerator % p == 0 for c in minpoly[:-1]):
         return INF
     k = _min_valuation(e.coords, p)
-    while _first_stage_reaching_zero(t, s, e.coords, p, int(k) + 1) is not None:
-        k = int(k) + 1
-    return int(k)
+    while _first_stage_reaching_zero(t, s, e.coords, p ** (k + 1)) is not None:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -420,33 +439,12 @@ def reshape(t: Tower, prefix_len: int, period_len: int) -> Tower:
         raise ValueError("period length must be >= 1")
     prefix = tuple(t.stage_matrix(s) for s in range(prefix_len))
     period = tuple(t.stage_matrix(prefix_len + j) for j in range(period_len))
-    # reshaping is only valid if the new period really repeats, which holds
-    # when prefix_len - len(t.prefix) is a multiple of the old period length
-    if b and (prefix_len - len(t.prefix)) % b:
-        raise ValueError("prefix extension must be a whole number of periods")
     return Tower(t.rank, prefix, period)
 
 
 def _common_shape(towers) -> tuple[int, int]:
-    prefix_len = max((len(t.prefix) for t in towers), default=0)
-    period_len = math.lcm(*(len(t.period) or 1 for t in towers)) if towers else 1
-    # round each prefix extension up to a whole number of that tower's periods
-    for t in towers:
-        b = len(t.period) or 1
-        extra = prefix_len - len(t.prefix)
-        if extra % b:
-            prefix_len += b - extra % b
-    # second pass in case rounding for one tower broke another
-    changed = True
-    while changed:
-        changed = False
-        for t in towers:
-            b = len(t.period) or 1
-            extra = prefix_len - len(t.prefix)
-            if extra % b:
-                prefix_len += b - extra % b
-                changed = True
-    return prefix_len, period_len
+    return (max(len(t.prefix) for t in towers),
+            math.lcm(*(len(t.period) or 1 for t in towers)))
 
 
 def direct_sum_towers(towers) -> Tower:
@@ -471,7 +469,7 @@ def direct_sum_towers(towers) -> Tower:
         for t in parts[1:]:
             m = m.block_diag(t.period[j])
         period.append(m)
-    if all(p.det() in (1, -1) and p == IntMatrix.identity(rank) for p in period):
+    if all(p == IntMatrix.identity(rank) for p in period):
         period = []
     return Tower(rank, tuple(prefix), tuple(period))
 
@@ -508,18 +506,33 @@ def tensor_towers(towers) -> Tower:
     return Tower(rank, tuple(prefix), tuple(period))
 
 
+def _reduce(m: IntMatrix, n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(x % n for x in row) for row in m.entries))
+
+
+def stable_period_power(t: Tower, p: int, e: int) -> IntMatrix:
+    """Q^N mod p^e for the period product Q and some N >= rank * e.
+
+    (Z/p^e)^rank has length rank * e, so by Fitting's lemma the kernels and
+    images of the powers of Q stop changing by then: Q^N has the kernel and
+    the image of every later power.  N is a power of two, reached by
+    ceil(log2(rank * e)) squarings of the reduced period product.
+    """
+    mod = p ** e
+    q = _reduce(t.period_product(), mod)
+    for _ in range((t.rank * e - 1).bit_length()):
+        q = _reduce(q @ q, mod)
+    return q
+
+
 def mod_p_rank(t: Tower, p: int) -> int:
     """Dimension of (limit group)/p over F_p.
 
-    Equals the stable rank mod p of iterated period products; the prefix is
+    Equals the rank mod p of the stable period power, whose image is the
+    limit of the images of the period products; the prefix is
     cofinal-irrelevant.
     """
-    q = t.period_product()
-    m = q
-    for _ in range(t.rank - 1):
-        m = m @ q
-    # rank of m mod p by elimination
-    rows = [[x % p for x in row] for row in m.entries]
+    rows = [list(row) for row in stable_period_power(t, p, 1).entries]
     rank = 0
     col = 0
     n = len(rows)
@@ -538,42 +551,3 @@ def mod_p_rank(t: Tower, p: int) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def stage_matrix_residues(t: Tower, p: int, k: int) -> list[IntMatrix]:
-    """All distinct transition matrices from stage 0, reduced mod p^k.
-
-    The sequence M_0, M_1, ... of cumulative products is eventually periodic
-    mod p^k; the list covers one full tail cycle, so the union of kernels of
-    the listed matrices equals the union over all stages.
-    """
-    mod = p ** k
-    a, b = len(t.prefix), len(t.period)
-    out = []
-    cur = IntMatrix.identity(t.rank)
-    curmod = IntMatrix.from_rows([[x % mod for x in row] for row in cur.entries])
-    s = 0
-    seen = set()
-    unit_period = b == 0 or t.period_product().det() % p != 0
-    while True:
-        out.append(curmod)
-        if s >= a:
-            if unit_period:
-                # kernels stop changing once maps are invertible mod p
-                break
-            state = ((s - a) % b, curmod.entries)
-            if state in seen:
-                break
-            seen.add(state)
-        nxt = t.stage_matrix(s) @ curmod
-        curmod = IntMatrix.from_rows([[x % mod for x in row]
-                                      for row in nxt.entries])
-        s += 1
-    # deduplicate while preserving determinism
-    uniq = []
-    seen_m = set()
-    for m in out:
-        if m.entries not in seen_m:
-            seen_m.add(m.entries)
-            uniq.append(m)
-    return uniq

@@ -16,9 +16,8 @@ from .matrices import IntMatrix, binomial, compound_matrix
 from .groups import (AbGroupDesc, FreeOfRank, FreePart, KGroupDesc,
                      Rank1, TowerForm, direct_sum_of, flatten,
                      summand_towers)
-from .towers import (Tower, TypeClass, is_divisible,
-                     stage_matrix_residues, tensor_towers, tower_type,
-                     unit_element)
+from .towers import (Tower, TypeClass, is_divisible, stable_period_power,
+                     tensor_towers, tower_type, unit_element)
 
 
 def wedge_power_tower(t: Tower, k: int) -> Tower:
@@ -144,14 +143,16 @@ def _kernel_has_unit_slot(m: IntMatrix, slot: int, p: int, k: int) -> bool:
     return _congruence_pair_solvable(c1, d1, c2, d2, n)
 
 
-def wedge_divisible_by_search(t: Tower, m: int,
-                              _cache: dict | None = None) -> bool:
+def wedge_divisible_by_search(t: Tower, m: int) -> bool:
     """Search for an element k1*x1 + k2*x2 divisible by m with k1 or k2
     coprime to m (x1, x2 the stage-0 standard basis of a rank-2 tower).
 
     Equivalent to scanning all (k1, k2) in [0, m)^2: by CRT such an element
     exists iff, for every prime power p^e || m, some stage kernel mod p^e
     contains a vector whose first (resp. second) coordinate is a unit.
+    Those kernels grow with the stage, and past the prefix they are the
+    kernels of Q^j T(0, a) for the period product Q; they stop growing at
+    the stable power Q^N, so the one matrix Q^N T(0, a) holds them all.
 
     Such an element certifies m-divisibility of x1 ^ x2 for every m, and
     for prime m the converse holds as well (a nonzero kernel vector over a
@@ -167,17 +168,10 @@ def wedge_divisible_by_search(t: Tower, m: int,
         raise ValueError("divisor must be >= 2")
     ok = [True, True]  # slot 0 = k1 coprime to m, slot 1 = k2 coprime
     for p, e in factorize_cached(m).items():
-        key = (p, e)
-        if _cache is not None and key in _cache:
-            mats = _cache[key]
-        else:
-            mats = stage_matrix_residues(t, p, e)
-            if _cache is not None:
-                _cache[key] = mats
+        mat = stable_period_power(t, p, e) @ t.transition(0, len(t.prefix))
         for slot in (0, 1):
             if ok[slot]:
-                ok[slot] = any(_kernel_has_unit_slot(mm, slot, p, e)
-                               for mm in mats)
+                ok[slot] = _kernel_has_unit_slot(mat, slot, p, e)
         if not any(ok):
             return False
     return any(ok)

@@ -72,9 +72,8 @@ def test_criterion_04_coprime_search_vs_wedge_divisibility(note):
     checked = prime_checked = 0
     for _ in range(200):
         t = rand_tower(rng, 2)
-        cache = {}
         for m in range(2, 61):
-            fast = wedge_divisible_by_search(t, m, cache)
+            fast = wedge_divisible_by_search(t, m)
             slow = wedge_unit_divisible(t, m)
             assert not (fast and not slow), (t, m)
             checked += 1

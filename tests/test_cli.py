@@ -106,6 +106,11 @@ class TestExitCodes:
         path = files("r1.grp", R1)
         assert main(["height", path, "1"]) == 2
 
+    def test_composite_prime(self, files):
+        path = files("half.grp", json.dumps(
+            {"free": {"tower": {"rank": 1, "period": [[[2]]]}}}))
+        assert main(["height", path, "4"]) == 2
+
     def test_type_on_higher_rank(self, files):
         path = files("z4.grp", Z4)
         assert main(["type", path]) == 2
