@@ -23,9 +23,9 @@ from .groups import (AbGroupDesc, CompletelyDecomposable, DirectSum,
                      direct_sum_of, flatten)
 from .wedge import (k0, k1, wedge_divisible_by_search, wedge_power_tower,
                     wedge_square_type, wedge_unit_divisible)
-from .compare import (ComparisonResult, DimensionMismatchError,
-                      SingularWitnessError, UnitaryInvariant, Witness,
-                      amplify, check_witness, compare_free_parts, compare_k1,
+from .compare import (DimensionMismatchError, SingularWitnessError,
+                      UnitaryInvariant, Verdict, Witness, amplify,
+                      check_witness, compare_free_parts, compare_k1,
                       compare_unitary, unitary_invariant)
 from .gallery import (GalleryEntry, Claim, builtin_gallery,
                       default_pair_config, load_pair_config, render_report,

@@ -14,22 +14,15 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .compare import (DimensionMismatchError, SingularWitnessError,
+from .compare import (DimensionMismatchError, SingularWitnessError, Verdict,
                       check_witness, compare_k1, compare_unitary)
-from .gallery import (builtin_gallery, default_pair_config, load_pair_config,
-                      render_report, verify_gallery)
+from .gallery import (FAIL, NOTICE, builtin_gallery, default_pair_config,
+                      load_pair_config, render_report, verify_gallery)
 from .groupfile import (ParseError, ValidationError, parse_group_file,
                         parse_witness_file)
 from .groups import Rank1, TowerForm, describe
 from .towers import GroupElement, height, tower_type
 from .wedge import k0, k1
-
-
-@dataclass(frozen=True)
-class Verdict:
-    label: str
-    value: str
-    evidence: str = ""
 
 
 @dataclass(frozen=True)
@@ -43,7 +36,7 @@ class Report:
         return json.dumps({
             "command": self.command,
             "inputs": list(self.inputs),
-            "verdicts": [{"label": v.label, "value": v.value,
+            "verdicts": [{"label": v.label, "value": v.verdict,
                           "evidence": v.evidence} for v in self.verdicts],
             "seconds": self.seconds,
         }, indent=2)
@@ -59,7 +52,7 @@ class Report:
     def to_text(self) -> str:
         lines = [f"{self.command} {' '.join(self.inputs)}".rstrip()]
         for v in self.verdicts:
-            line = f"{v.label}: {v.value}"
+            line = f"{v.label}: {v.verdict}"
             if v.evidence:
                 line += f"  [{v.evidence}]"
             lines.append(line)
@@ -178,8 +171,7 @@ def _run(args) -> tuple[int, Report]:
         g1, g2 = _load_group(args.group1), _load_group(args.group2)
         ws = _load_witnesses(args.witness)
         fn = compare_unitary if cmd == "compare-unitary" else compare_k1
-        res = fn(g1, g2, ws)
-        verdicts = (Verdict("verdict", res.verdict, res.evidence),)
+        verdicts = (fn(g1, g2, ws),)
         inputs = (args.group1, args.group2)
     elif cmd == "check-witness":
         w = parse_witness_file(_read(args.witness))
@@ -195,15 +187,11 @@ def _run(args) -> tuple[int, Report]:
                   else load_pair_config(_read(opt)) if opt
                   else default_pair_config())
         entries, notices = builtin_gallery(config)
-        reports = verify_gallery(entries)
-        verdicts = tuple(
-            Verdict(f"{r.name}.{cr.kind}", cr.status, cr.evidence)
-            for r in reports for cr in r.results)
-        verdicts += tuple(Verdict("notice", n) for n in notices)
-        if any(r.failed for r in reports):
+        verdicts = tuple(verify_gallery(entries))
+        verdicts += tuple(Verdict(NOTICE, n) for n in notices)
+        if any(v.verdict == FAIL for v in verdicts):
             code = 1
         inputs = ()
-        args._gallery_text = render_report(reports, notices)
     seconds = time.perf_counter() - t0
     return code, Report(cmd, inputs, verdicts, round(seconds, 6))
 
@@ -222,7 +210,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(report.to_json())
     elif args.command == "verify-gallery":
-        print(args._gallery_text)
+        print(render_report(report.verdicts))
     else:
         print(report.to_text())
     return code

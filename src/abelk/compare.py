@@ -11,7 +11,7 @@ separating invariant, and Unknown otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fg import Cardinal, torsion_cardinal
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
@@ -36,36 +36,18 @@ class SingularWitnessError(ValueError):
 
 
 @dataclass(frozen=True)
-class ComparisonResult:
+class Verdict:
+    """One labelled answer with its evidence.
+
+    The single result shape of the package: comparisons return label
+    "verdict" with ISOMORPHIC, NOT_ISOMORPHIC or UNKNOWN, gallery claims
+    "<entry>.<claim kind>" with a claim status, and the CLI reports every
+    command's answers as a tuple of these.
+    """
+
+    label: str
     verdict: str
-    evidence: str
-
-    @property
-    def is_isomorphic(self) -> bool:
-        return self.verdict == ISOMORPHIC
-
-    @property
-    def is_not_isomorphic(self) -> bool:
-        return self.verdict == NOT_ISOMORPHIC
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.verdict == UNKNOWN
-
-    @staticmethod
-    def isomorphic(evidence: str) -> "ComparisonResult":
-        return ComparisonResult(ISOMORPHIC, evidence)
-
-    @staticmethod
-    def not_isomorphic(evidence: str) -> "ComparisonResult":
-        return ComparisonResult(NOT_ISOMORPHIC, evidence)
-
-    @staticmethod
-    def unknown(reason: str) -> "ComparisonResult":
-        return ComparisonResult(UNKNOWN, reason)
-
-    def __str__(self):
-        return f"{self.verdict}: {self.evidence}"
+    evidence: str = ""
 
 
 @dataclass(frozen=True)
@@ -253,28 +235,33 @@ def _format_counts(counts: dict) -> str:
 
 
 def compare_free_parts(f1: FreePart, f2: FreePart,
-                       witnesses=()) -> ComparisonResult:
+                       witnesses=()) -> Verdict:
     s1, s2 = flatten(f1), flatten(f2)
 
     if s1.has_omega or s2.has_omega:
         if s1.has_omega != s2.has_omega:
             fin = s1.finite_rank() if not s1.has_omega else s2.finite_rank()
-            return ComparisonResult.not_isomorphic(
+            return Verdict(
+                "verdict", NOT_ISOMORPHIC,
                 f"rank: finite ({fin}) vs countably infinite")
         if not (s1.towers or s2.towers or s1.omega_towers or s2.omega_towers):
             c1, c2 = _type_counts(s1), _type_counts(s2)
             if c1 == c2:
-                return ComparisonResult.isomorphic(
+                return Verdict(
+                    "verdict", ISOMORPHIC,
                     "equal type multisets of completely decomposable parts: "
                     + _format_counts(c1))
-            return ComparisonResult.not_isomorphic(
+            return Verdict(
+                "verdict", NOT_ISOMORPHIC,
                 f"type multiset {_format_counts(c1)} vs {_format_counts(c2)}")
         if (sorted(s1.omega_towers, key=repr) == sorted(s2.omega_towers, key=repr)
                 and sorted(s1.towers, key=repr) == sorted(s2.towers, key=repr)
                 and _type_counts(s1) == _type_counts(s2)):
-            return ComparisonResult.isomorphic(
+            return Verdict(
+                "verdict", ISOMORPHIC,
                 "structurally identical omega-amplified summands")
-        return ComparisonResult.unknown(
+        return Verdict(
+            "verdict", UNKNOWN,
             "omega-amplified tower summands cannot be compared without "
             "structural equality; deciding such direct sums is outside the "
             "decidable class")
@@ -284,14 +271,16 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
     if r1 != r2:
         label = "free rank" if decidable and not s1.types and not s2.types \
             else "torsion-free rank"
-        return ComparisonResult.not_isomorphic(f"{label} {r1} vs {r2}")
+        return Verdict("verdict", NOT_ISOMORPHIC, f"{label} {r1} vs {r2}")
 
     if decidable:
         c1, c2 = _type_counts(s1), _type_counts(s2)
         if c1 == c2:
-            return ComparisonResult.isomorphic(
+            return Verdict(
+                "verdict", ISOMORPHIC,
                 "equal rank and type multiset " + _format_counts(c1))
-        return ComparisonResult.not_isomorphic(
+        return Verdict(
+            "verdict", NOT_ISOMORPHIC,
             f"type multiset {_format_counts(c1)} vs {_format_counts(c2)}")
 
     # towers of rank >= 2 present: attempt a certified summand matching
@@ -316,7 +305,8 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
         c1, c2 = _type_counts(s1), _type_counts(s2)
         if c1 == c2:
             via = f" via witnesses [{', '.join(used)}]" if used else ""
-            return ComparisonResult.isomorphic(
+            return Verdict(
+                "verdict", ISOMORPHIC,
                 "summand-wise matching: towers matched" + via
                 + ", remaining type multisets equal")
 
@@ -324,34 +314,38 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
     for p in sorted(_relevant_primes(s1, s2)):
         p1, p2 = _p_rank(s1, p), _p_rank(s2, p)
         if p1 != p2:
-            return ComparisonResult.not_isomorphic(
+            return Verdict(
+                "verdict", NOT_ISOMORPHIC,
                 f"p-rank at p={p}: {p1} vs {p2}")
     top1, top2 = _top_wedge_characteristic(s1), _top_wedge_characteristic(s2)
     if TypeClass(top1) != TypeClass(top2):
-        return ComparisonResult.not_isomorphic(
+        return Verdict(
+            "verdict", NOT_ISOMORPHIC,
             f"type of the top exterior power: {TypeClass(top1)} vs "
             f"{TypeClass(top2)}")
-    return ComparisonResult.unknown(
+    return Verdict(
+        "verdict", UNKNOWN,
         f"unmatched tower summands ({len(pool1)} vs {len(pool2)} left) and "
         "no separating invariant found; register a witness to certify an "
         "isomorphism")
 
 
 def compare_unitary(d1: AbGroupDesc, d2: AbGroupDesc,
-                    witnesses=()) -> ComparisonResult:
+                    witnesses=()) -> Verdict:
     """Compare unitary groups of the two group C*-algebras."""
     a1, a2 = torsion_cardinal(d1.torsion), torsion_cardinal(d2.torsion)
     if a1 != a2:
-        return ComparisonResult.not_isomorphic(
+        return Verdict(
+            "verdict", NOT_ISOMORPHIC,
             f"torsion subgroup cardinality {a1} vs {a2}")
     res = compare_free_parts(amplify(d1.free, a1), amplify(d2.free, a2),
                               witnesses)
-    return ComparisonResult(res.verdict,
-                            f"alpha = {a1}; amplified parts: {res.evidence}")
+    return replace(res,
+                   evidence=f"alpha = {a1}; amplified parts: {res.evidence}")
 
 
 def compare_k1(d1: AbGroupDesc, d2: AbGroupDesc,
-               witnesses=()) -> ComparisonResult:
+               witnesses=()) -> Verdict:
     """Compare K1 groups of the two group C*-algebras."""
     res = compare_free_parts(_k1(d1), _k1(d2), witnesses)
-    return ComparisonResult(res.verdict, f"K1 summands: {res.evidence}")
+    return replace(res, evidence=f"K1 summands: {res.evidence}")

@@ -9,15 +9,15 @@ silently passed.
 
 from __future__ import annotations
 
-import json
 import random
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
-from .compare import (ComparisonResult, Witness, check_witness,
-                      compare_free_parts, compare_k1, compare_unitary)
+from .compare import (Verdict, Witness, check_witness, compare_free_parts,
+                      compare_k1, compare_unitary)
 from .fg import FgAbGroup, TorsionDesc
+from .groupfile import _fail, _loads, _parse_tower, _parse_witness_map
 from .groups import (AbGroupDesc, FreeOfRank, Rank1, TowerForm,
                      direct_sum_of, flatten)
 from .matrices import IntMatrix, RatMatrix, compound_matrix
@@ -33,6 +33,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 UNKNOWN = "UNKNOWN"
+
+# label of a verdict that carries a notice about the gallery, not a claim
+NOTICE = "notice"
 
 
 class MissingConfigurationError(RuntimeError):
@@ -63,29 +66,6 @@ class GalleryEntry:
                 raise ValueError(f"claim {c.kind} names a missing group")
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    kind: str
-    status: str
-    evidence: str
-
-
-@dataclass(frozen=True)
-class EntryReport:
-    name: str
-    results: tuple[ClaimResult, ...]
-
-    @property
-    def failed(self) -> bool:
-        return any(r.status == FAIL for r in self.results)
-
-    def lines(self) -> list[str]:
-        out = [f"entry {self.name}"]
-        out.extend(f"  {r.status} {r.kind}: {r.evidence}"
-                   for r in self.results)
-        return out
-
-
 FUCHS_CITATION = ("L. Fuchs, Infinite Abelian Groups, Vol. II, "
                   "Academic Press 1973, Theorem 90.3")
 
@@ -105,28 +85,26 @@ class PairConfig:
     citation: str = FUCHS_CITATION
 
 
-def _frac(token) -> Fraction:
-    if isinstance(token, int):
-        return Fraction(token)
-    return Fraction(str(token))
-
-
-def _tower_from_json(d: dict) -> Tower:
-    return Tower(int(d["rank"]),
-                 tuple(IntMatrix.from_rows(m) for m in d.get("prefix", [])),
-                 tuple(IntMatrix.from_rows(m) for m in d.get("period", [])))
-
-
 def load_pair_config(text: str) -> PairConfig:
-    d = json.loads(text)
-    w = d["witness"]
-    return PairConfig(
-        gamma1=_tower_from_json(d["gamma1"]),
-        gamma2=_tower_from_json(d["gamma2"]),
-        witness_copies=int(w["copies"]),
-        witness_map=RatMatrix.from_rows(
-            [[_frac(x) for x in row] for row in w["matrix"]]),
-        citation=d.get("citation", FUCHS_CITATION))
+    """Read a pair configuration: "gamma1" and "gamma2" towers, a
+    "witness" object with "copies" and "matrix", an optional "citation".
+
+    Validated like group and witness files: malformed input raises
+    ParseError with its field path, a defective tower ValidationError.
+    """
+    d = _loads(text)
+    if not isinstance(d, dict):
+        _fail("$", "pair configuration must be a JSON object")
+    for key in ("gamma1", "gamma2", "witness"):
+        if key not in d:
+            _fail("$", f"missing \"{key}\"")
+    citation = d.get("citation", FUCHS_CITATION)
+    if not isinstance(citation, str):
+        _fail("$.citation", "citation must be a string")
+    copies, mat = _parse_witness_map(d["witness"], "$.witness")
+    return PairConfig(_parse_tower(d["gamma1"], "$.gamma1"),
+                      _parse_tower(d["gamma2"], "$.gamma2"),
+                      copies, mat, citation)
 
 
 def default_pair_config() -> PairConfig:
@@ -250,16 +228,15 @@ def _tower_of(g: AbGroupDesc) -> Tower:
     raise ValueError("claim needs a tower-presented group")
 
 
-def _verdict_result(kind: str, res: ComparisonResult,
-                    want: str) -> ClaimResult:
+def _status(res: Verdict, want: str) -> tuple[str, str]:
     if res.verdict == want:
-        return ClaimResult(kind, PASS, res.evidence)
-    if res.is_unknown:
-        return ClaimResult(kind, UNKNOWN, res.evidence)
-    return ClaimResult(kind, FAIL, str(res))
+        return PASS, res.evidence
+    if res.verdict == "unknown":
+        return UNKNOWN, res.evidence
+    return FAIL, f"{res.verdict}: {res.evidence}"
 
 
-def _check_compound_block_law(count: int) -> ClaimResult:
+def _check_compound_block_law(count: int) -> tuple[str, str]:
     rng = random.Random(20260824)
     ident2 = IntMatrix.identity(2)
     done = 0
@@ -273,52 +250,45 @@ def _check_compound_block_law(count: int) -> ClaimResult:
         got = compound_matrix(ident2.block_diag(a), 3)
         want = a.block_diag(IntMatrix.from_rows([[d, 0], [0, d]]))
         if got != want:
-            return ClaimResult(
-                "compound_block_law", FAIL,
-                f"counterexample A = {a.entries}: compound {got.entries}")
-    return ClaimResult(
-        "compound_block_law", PASS,
-        f"{count} random 2x2 blocks: degree-3 compound of id2 (+) A is "
-        "A (+) det(A)*id2")
+            return FAIL, (f"counterexample A = {a.entries}: "
+                          f"compound {got.entries}")
+    return PASS, (f"{count} random 2x2 blocks: degree-3 compound of "
+                  "id2 (+) A is A (+) det(A)*id2")
 
 
-def _verify_claim(e: GalleryEntry, c: Claim) -> ClaimResult:
+def _verify_claim(e: GalleryEntry, c: Claim) -> tuple[str, str]:
+    """(status, evidence) of one checked claim."""
     gs = [e.groups[i] for i in c.groups]
     if c.kind == "k1_rank":
         r = flatten(k1(gs[0])).finite_rank()
-        status = PASS if r == c.expected else FAIL
-        return ClaimResult(c.kind, status,
-                           f"k1 rank {r}, expected {c.expected}")
+        return (PASS if r == c.expected else FAIL,
+                f"k1 rank {r}, expected {c.expected}")
     if c.kind == "k0_rank":
         r = flatten(k0(gs[0])).finite_rank()
-        status = PASS if r == c.expected else FAIL
-        return ClaimResult(c.kind, status,
-                           f"k0 rank {r}, expected {c.expected}")
+        return (PASS if r == c.expected else FAIL,
+                f"k0 rank {r}, expected {c.expected}")
     if c.kind in ("unitary_iso", "unitary_non_iso"):
         res = compare_unitary(gs[0], gs[1], e.witnesses)
         want = "isomorphic" if c.kind == "unitary_iso" else "not_isomorphic"
-        return _verdict_result(c.kind, res, want)
+        return _status(res, want)
     if c.kind in ("k1_iso", "k1_non_iso"):
         res = compare_k1(gs[0], gs[1], e.witnesses)
         want = "isomorphic" if c.kind == "k1_iso" else "not_isomorphic"
-        return _verdict_result(c.kind, res, want)
+        return _status(res, want)
     if c.kind == "group_non_iso":
         res = compare_free_parts(gs[0].free, gs[1].free, e.witnesses)
-        return _verdict_result(c.kind, res, "not_isomorphic")
+        return _status(res, "not_isomorphic")
     if c.kind == "wedge_square_type_equal":
         t1 = wedge_square_type(_tower_of(gs[0]))
         t2 = wedge_square_type(_tower_of(gs[1]))
-        status = PASS if t1 == t2 else FAIL
-        return ClaimResult(c.kind, status,
-                           f"wedge-square types {t1} and {t2}")
+        return (PASS if t1 == t2 else FAIL,
+                f"wedge-square types {t1} and {t2}")
     if c.kind == "witness_valid":
         for w in e.witnesses:
             if not check_witness(w):
-                return ClaimResult(c.kind, FAIL,
-                                   f"witness {w.name}: membership violated")
-        return ClaimResult(
-            c.kind, PASS,
-            f"{len(e.witnesses)} witness(es) pass membership both ways")
+                return FAIL, f"witness {w.name}: membership violated"
+        return (PASS,
+                f"{len(e.witnesses)} witness(es) pass membership both ways")
     if c.kind == "compound_block_law":
         return _check_compound_block_law(int(c.expected))
     if c.kind == "wedge_divisibility_equiv":
@@ -329,51 +299,52 @@ def _verify_claim(e: GalleryEntry, c: Claim) -> ClaimResult:
             fast = wedge_divisible_by_search(t, m)
             slow = wedge_unit_divisible(t, m)
             if fast and not slow:
-                return ClaimResult(
-                    c.kind, FAIL,
-                    f"m = {m}: search found an element but the wedge "
-                    "tower denies divisibility")
+                return FAIL, (f"m = {m}: search found an element but the "
+                              "wedge tower denies divisibility")
             if fast != slow and is_prime(m):
-                return ClaimResult(
-                    c.kind, FAIL,
-                    f"prime m = {m}: search says {fast}, wedge tower "
-                    f"says {slow}")
-        return ClaimResult(
-            c.kind, PASS,
-            f"search implies divisibility for m in 2..{c.expected}, "
-            "with equivalence at prime moduli")
-    return ClaimResult(c.kind, FAIL, f"unknown claim kind {c.kind!r}")
+                return FAIL, (f"prime m = {m}: search says {fast}, wedge "
+                              f"tower says {slow}")
+        return PASS, (f"search implies divisibility for m in "
+                      f"2..{c.expected}, with equivalence at prime moduli")
+    return FAIL, f"unknown claim kind {c.kind!r}"
 
 
-def verify_entry(e: GalleryEntry) -> EntryReport:
-    results = []
+def verify_entry(e: GalleryEntry) -> list[Verdict]:
+    """One verdict per claim, labelled "<entry name>.<claim kind>", whose
+    verdict is the claim status (PASS, FAIL, SKIPPED or UNKNOWN)."""
+    out = []
     for c in e.claims:
         if c.provenance == LITERATURE:
-            results.append(ClaimResult(
-                c.kind, SKIPPED,
-                f"literature-trusted, not machine-verified ({c.citation})"))
-            continue
-        try:
-            results.append(_verify_claim(e, c))
-        except (ValueError, ArithmeticError) as exc:
-            results.append(ClaimResult(c.kind, FAIL, f"error: {exc}"))
-    return EntryReport(e.name, tuple(results))
+            res = (SKIPPED,
+                   f"literature-trusted, not machine-verified ({c.citation})")
+        else:
+            try:
+                res = _verify_claim(e, c)
+            except (ValueError, ArithmeticError) as exc:
+                res = FAIL, f"error: {exc}"
+        out.append(Verdict(f"{e.name}.{c.kind}", *res))
+    return out
 
 
-def verify_gallery(entries) -> list[EntryReport]:
-    return [verify_entry(e) for e in sorted(entries, key=lambda e: e.name)]
+def verify_gallery(entries) -> list[Verdict]:
+    """The verdicts of every entry, entries sorted by name."""
+    return [v for e in sorted(entries, key=lambda e: e.name)
+            for v in verify_entry(e)]
 
 
-def render_report(reports, notices=()) -> str:
-    lines: list[str] = []
-    for n in notices:
-        lines.append(f"notice: {n}")
-    for r in reports:
-        lines.extend(r.lines())
-    counts = {s: 0 for s in (PASS, FAIL, SKIPPED, UNKNOWN)}
-    for r in reports:
-        for cr in r.results:
-            counts[cr.status] += 1
+def render_report(verdicts) -> str:
+    """Text report of gallery verdicts: the notices (label NOTICE) first,
+    then the claims grouped by entry, then the count of each status."""
+    lines = [f"notice: {v.verdict}" for v in verdicts if v.label == NOTICE]
+    claims = [v for v in verdicts if v.label != NOTICE]
+    entry = None
+    for v in claims:
+        name, _, kind = v.label.rpartition(".")
+        if name != entry:
+            entry = name
+            lines.append(f"entry {name}")
+        lines.append(f"  {v.verdict} {kind}: {v.evidence}")
+    counts = Counter(v.verdict for v in claims)
     lines.append("summary: " + ", ".join(
         f"{counts[s]} {s.lower()}" for s in (PASS, FAIL, SKIPPED, UNKNOWN)))
     return "\n".join(lines)

@@ -43,6 +43,11 @@ def _fail(path: str, msg: str):
     raise ParseError(f"at {path or '$'}: {msg}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not (bool is a subclass of int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_supernatural(spec, path: str) -> Supernatural:
     if not isinstance(spec, dict) or not spec:
         _fail(path, "characteristic must be a non-empty object")
@@ -50,7 +55,7 @@ def _parse_supernatural(spec, path: str) -> Supernatural:
     last = 0
     for key, exp in spec.items():
         kpath = f"{path}.{key}"
-        if not isinstance(key, str) or not key.isdigit():
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
             _fail(kpath, f"prime expected, got {key!r}")
         p = int(key)
         if not is_prime(p):
@@ -60,7 +65,7 @@ def _parse_supernatural(spec, path: str) -> Supernatural:
         last = p
         if exp == "inf":
             assignments[p] = INF
-        elif isinstance(exp, int) and exp >= 0:
+        elif _is_int(exp) and exp >= 0:
             assignments[p] = exp
         else:
             _fail(kpath, f"exponent must be a natural or \"inf\", got {exp!r}")
@@ -70,14 +75,14 @@ def _parse_supernatural(spec, path: str) -> Supernatural:
 def _parse_matrix(spec, rank: int, path: str) -> IntMatrix:
     if (not isinstance(spec, list) or len(spec) != rank
             or any(not isinstance(row, list) or len(row) != rank
-                   or any(not isinstance(x, int) for x in row)
+                   or any(not _is_int(x) for x in row)
                    for row in spec)):
         _fail(path, f"expected a {rank}x{rank} integer matrix")
     return IntMatrix.from_rows(spec)
 
 
 def _parse_tower(spec, path: str) -> Tower:
-    if not isinstance(spec, dict) or not isinstance(spec.get("rank"), int):
+    if not isinstance(spec, dict) or not _is_int(spec.get("rank")):
         _fail(path, "tower needs an integer \"rank\"")
     rank = spec["rank"]
     if rank < 1:
@@ -101,7 +106,7 @@ def _parse_free(spec, path: str) -> FreePart:
         _fail(path, "free part must be an object with exactly one key")
     key, val = next(iter(spec.items()))
     if key == "free":
-        if not isinstance(val, int) or val < 0:
+        if not _is_int(val) or val < 0:
             _fail(f"{path}.free", "rank must be a natural number")
         return FreeOfRank(val)
     if key == "rank1":
@@ -119,7 +124,7 @@ def _parse_free(spec, path: str) -> FreePart:
             copies = item.get("copies", 1)
             if copies == "omega":
                 copies = OMEGA_COPIES
-            elif not isinstance(copies, int) or copies < 1:
+            elif not _is_int(copies) or copies < 1:
                 _fail(f"{ipath}.copies",
                       "copies must be a positive integer or \"omega\"")
             parts.append((TypeClass(sup), copies))
@@ -146,7 +151,7 @@ def _parse_torsion(spec, path: str) -> TorsionDesc:
     if isinstance(spec, list):
         if not spec:
             return TorsionDesc.trivial()
-        if any(not isinstance(d, int) or d < 2 for d in spec):
+        if any(not _is_int(d) or d < 2 for d in spec):
             _fail(path, "cyclic orders must be integers >= 2")
         rel = IntMatrix.from_rows(
             [[spec[i] if i == j else 0 for j in range(len(spec))]
@@ -212,7 +217,7 @@ def emit_group(desc: AbGroupDesc, name: str | None = None) -> str:
 
 
 def _parse_fraction(token, path: str) -> Fraction:
-    if isinstance(token, int):
+    if _is_int(token):
         return Fraction(token)
     if isinstance(token, str):
         try:
@@ -222,23 +227,29 @@ def _parse_fraction(token, path: str) -> Fraction:
     _fail(path, f"expected an integer or \"a/b\" string, got {token!r}")
 
 
+def _parse_witness_map(spec, path: str) -> tuple[int, RatMatrix]:
+    """copies and matrix of a witness object: a witness file, or the
+    "witness" of a gallery pair configuration."""
+    if not isinstance(spec, dict):
+        _fail(path, "witness must be a JSON object")
+    copies = spec.get("copies", 1)
+    if not _is_int(copies) or copies < 1:
+        _fail(f"{path}.copies", "copies must be a positive integer")
+    rows = spec.get("matrix")
+    if (not isinstance(rows, list) or not rows
+            or any(not isinstance(r, list) or len(r) != len(rows)
+                   for r in rows)):
+        _fail(f"{path}.matrix", "expected a square matrix")
+    return copies, RatMatrix.from_rows(
+        [[_parse_fraction(x, f"{path}.matrix[{i}][{j}]")
+          for j, x in enumerate(row)] for i, row in enumerate(rows)])
+
+
 def parse_witness_file(text: str) -> Witness:
     """Witness files: copies, matrix (entries ints or "a/b"), src and dst
     free-part specs, optional name."""
     data = _loads(text)
-    if not isinstance(data, dict):
-        _fail("$", "witness file must be a JSON object")
-    copies = data.get("copies", 1)
-    if not isinstance(copies, int) or copies < 1:
-        _fail("$.copies", "copies must be a positive integer")
-    rows = data.get("matrix")
-    if (not isinstance(rows, list) or not rows
-            or any(not isinstance(r, list) or len(r) != len(rows)
-                   for r in rows)):
-        _fail("$.matrix", "expected a square matrix")
-    mat = RatMatrix.from_rows(
-        [[_parse_fraction(x, f"$.matrix[{i}][{j}]")
-          for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    copies, mat = _parse_witness_map(data, "$")
     for side in ("src", "dst"):
         if side not in data:
             _fail("$", f"missing \"{side}\" free part")

@@ -15,9 +15,9 @@ Divisibility, membership and p-heights are decided exactly:
   residue that is not 0 by then never becomes 0.  Walking the residues
   that far, checking for 0 at every stage, gives the least stage or
   proves there is none;
-* the same bound gives the stable power Q^N mod p^e (N >= r * e, by
+* the same bound gives the stable power Q^N mod m (N >= r * Omega(m), by
   repeated squaring) whose kernel and image are those of every later
-  power; p-ranks and the wedge divisibility search read it off;
+  power; p-ranks (m = p) and the wedge divisibility search read it off;
 * infinite p-height is detected by a minimal-polynomial criterion: the
   p-valuation of the element's coordinates grows without bound iff every
   root of the minimal polynomial of the period product on the element's
@@ -28,6 +28,7 @@ Divisibility, membership and p-heights are decided exactly:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -318,6 +319,9 @@ class Supernatural:
 
     @staticmethod
     def of(assignments: dict) -> "Supernatural":
+        for p in assignments:
+            if not is_prime(int(p)):
+                raise ValueError(f"{p} is not prime")
         items = tuple(sorted((int(p), e) for p, e in assignments.items()
                              if e not in (0, None)))
         for p, e in items:
@@ -423,28 +427,15 @@ def rank1_tower_from_supernatural(s: Supernatural) -> Tower:
     return Tower(1, prefix, period)
 
 
-def reshape(t: Tower, prefix_len: int, period_len: int) -> Tower:
-    """Equivalent tower with the given shape (same stage maps everywhere).
-
-    prefix_len must be >= the current prefix length and period_len a positive
-    multiple of the current period length (any positive value when the period
-    is empty, filled with identities).
-    """
-    if prefix_len < len(t.prefix):
-        raise ValueError("cannot shorten the prefix")
-    b = len(t.period)
-    if b and period_len % b:
-        raise ValueError("new period length must be a multiple of the old")
-    if period_len < 1:
-        raise ValueError("period length must be >= 1")
-    prefix = tuple(t.stage_matrix(s) for s in range(prefix_len))
-    period = tuple(t.stage_matrix(prefix_len + j) for j in range(period_len))
-    return Tower(t.rank, prefix, period)
-
-
-def _common_shape(towers) -> tuple[int, int]:
-    return (max(len(t.prefix) for t in towers),
-            math.lcm(*(len(t.period) or 1 for t in towers)))
+def _stagewise(towers, combine) -> Tower:
+    """Tower whose stage-s map is combine folded over the summands'
+    stage-s maps, for s below the longest prefix plus the lcm of the
+    period lengths (an empty period counts as length 1)."""
+    a = max(len(t.prefix) for t in towers)
+    b = math.lcm(*(len(t.period) or 1 for t in towers))
+    maps = [functools.reduce(combine, (t.stage_matrix(s) for t in towers))
+            for s in range(a + b)]
+    return Tower(maps[0].rows, tuple(maps[:a]), tuple(maps[a:]))
 
 
 def direct_sum_towers(towers) -> Tower:
@@ -454,24 +445,10 @@ def direct_sum_towers(towers) -> Tower:
         raise ValueError("direct sum of no towers")
     if len(towers) == 1:
         return towers[0]
-    pl, bl = _common_shape(towers)
-    parts = [reshape(t, pl, bl) for t in towers]
-    rank = sum(t.rank for t in towers)
-    prefix = []
-    for s in range(pl):
-        m = parts[0].prefix[s]
-        for t in parts[1:]:
-            m = m.block_diag(t.prefix[s])
-        prefix.append(m)
-    period = []
-    for j in range(bl):
-        m = parts[0].period[j]
-        for t in parts[1:]:
-            m = m.block_diag(t.period[j])
-        period.append(m)
-    if all(p == IntMatrix.identity(rank) for p in period):
-        period = []
-    return Tower(rank, tuple(prefix), tuple(period))
+    t = _stagewise(towers, IntMatrix.block_diag)
+    if all(m == IntMatrix.identity(t.rank) for m in t.period):
+        return Tower(t.rank, t.prefix)
+    return t
 
 
 def tensor_towers(towers) -> Tower:
@@ -487,40 +464,26 @@ def tensor_towers(towers) -> Tower:
         return Tower.free(1)
     if len(nontrivial) == 1:
         return nontrivial[0]
-    towers = nontrivial
-    pl, bl = _common_shape(towers)
-    parts = [reshape(t, pl, bl) for t in towers]
-    rank = math.prod(t.rank for t in towers)
-    prefix = []
-    for s in range(pl):
-        m = parts[0].prefix[s]
-        for t in parts[1:]:
-            m = m.kron(t.prefix[s])
-        prefix.append(m)
-    period = []
-    for j in range(bl):
-        m = parts[0].period[j]
-        for t in parts[1:]:
-            m = m.kron(t.period[j])
-        period.append(m)
-    return Tower(rank, tuple(prefix), tuple(period))
+    return _stagewise(nontrivial, IntMatrix.kron)
 
 
 def _reduce(m: IntMatrix, n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(x % n for x in row) for row in m.entries))
 
 
-def stable_period_power(t: Tower, p: int, e: int) -> IntMatrix:
-    """Q^N mod p^e for the period product Q and some N >= rank * e.
+def stable_period_power(t: Tower, mod: int, length: int) -> IntMatrix:
+    """Q^N mod `mod` for the period product Q and some N >= rank * length.
 
-    (Z/p^e)^rank has length rank * e, so by Fitting's lemma the kernels and
-    images of the powers of Q stop changing by then: Q^N has the kernel and
-    the image of every later power.  N is a power of two, reached by
-    ceil(log2(rank * e)) squarings of the reduced period product.
+    length must bound the length of Z/mod as a module over itself, the
+    number of prime factors of mod with multiplicity: e for mod = p^e,
+    mod.bit_length() for any mod.  (Z/mod)^rank then has length at most
+    rank * length, so by Fitting's lemma the kernels and images of the
+    powers of Q stop changing by then: Q^N has the kernel and the image of
+    every later power.  N is a power of two, reached by
+    ceil(log2(rank * length)) squarings of the reduced period product.
     """
-    mod = p ** e
     q = _reduce(t.period_product(), mod)
-    for _ in range((t.rank * e - 1).bit_length()):
+    for _ in range((t.rank * length - 1).bit_length()):
         q = _reduce(q @ q, mod)
     return q
 

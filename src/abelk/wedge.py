@@ -130,29 +130,28 @@ def _congruence_pair_solvable(c1: int, d1: int, c2: int, d2: int,
     return (c2 + d2 * y0) % g2 == 0
 
 
-def _kernel_has_unit_slot(m: IntMatrix, slot: int, p: int, k: int) -> bool:
-    """Whether some v with m @ v == 0 mod p^k has v[slot] a unit mod p.
+def _kernel_has_unit_slot(m: IntMatrix, slot: int, n: int) -> bool:
+    """Whether some v with m @ v == 0 mod n has v[slot] a unit mod n.
 
     Kernels are closed under unit scaling, so it suffices to look for a
     solution with v[slot] == 1.
     """
-    n = p ** k
     other = 1 - slot
-    c1, d1 = m[0, slot] % n, m[0, other] % n
-    c2, d2 = m[1, slot] % n, m[1, other] % n
-    return _congruence_pair_solvable(c1, d1, c2, d2, n)
+    return _congruence_pair_solvable(m[0, slot] % n, m[0, other] % n,
+                                     m[1, slot] % n, m[1, other] % n, n)
 
 
 def wedge_divisible_by_search(t: Tower, m: int) -> bool:
     """Search for an element k1*x1 + k2*x2 divisible by m with k1 or k2
     coprime to m (x1, x2 the stage-0 standard basis of a rank-2 tower).
 
-    Equivalent to scanning all (k1, k2) in [0, m)^2: by CRT such an element
-    exists iff, for every prime power p^e || m, some stage kernel mod p^e
-    contains a vector whose first (resp. second) coordinate is a unit.
-    Those kernels grow with the stage, and past the prefix they are the
-    kernels of Q^j T(0, a) for the period product Q; they stop growing at
-    the stable power Q^N, so the one matrix Q^N T(0, a) holds them all.
+    Equivalent to scanning all (k1, k2) in [0, m)^2: such an element
+    exists iff some stage kernel mod m contains a vector whose first
+    (resp. second) coordinate is a unit mod m.  Those kernels grow with
+    the stage, and past the prefix they are the kernels of Q^j T(0, a)
+    for the period product Q; (Z/m)^2 has length 2 * Omega(m), less than
+    2 * m.bit_length(), so they stop growing at the stable power Q^N for
+    that length, and the one matrix Q^N T(0, a) mod m holds them all.
 
     Such an element certifies m-divisibility of x1 ^ x2 for every m, and
     for prime m the converse holds as well (a nonzero kernel vector over a
@@ -166,25 +165,14 @@ def wedge_divisible_by_search(t: Tower, m: int) -> bool:
         raise ValueError("requires a rank-2 tower")
     if m < 2:
         raise ValueError("divisor must be >= 2")
-    ok = [True, True]  # slot 0 = k1 coprime to m, slot 1 = k2 coprime
-    for p, e in factorize_cached(m).items():
-        mat = stable_period_power(t, p, e) @ t.transition(0, len(t.prefix))
-        for slot in (0, 1):
-            if ok[slot]:
-                ok[slot] = _kernel_has_unit_slot(mat, slot, p, e)
-        if not any(ok):
-            return False
-    return any(ok)
+    mat = (stable_period_power(t, m, m.bit_length())
+           @ t.transition(0, len(t.prefix)))
+    return any(_kernel_has_unit_slot(mat, slot, m) for slot in (0, 1))
 
 
+# Not used by the package: perfbench/run.py clears it before every
+# operation it times, so it stays, empty.
 _factor_cache: dict[int, dict[int, int]] = {}
-
-
-def factorize_cached(n: int) -> dict[int, int]:
-    from .towers import factorize
-    if n not in _factor_cache:
-        _factor_cache[n] = factorize(n)
-    return _factor_cache[n]
 
 
 def wedge_unit_divisible(t: Tower, m: int) -> bool:

@@ -140,9 +140,9 @@ def test_criterion_08_mixed_rank_pair(note):
     inf = TorsionDesc.countably_infinite()
     g1 = AbGroupDesc(inf, FreeOfRank(1))
     g2 = AbGroupDesc(inf, FreeOfRank(2))
-    assert compare_unitary(g1, g2).is_isomorphic
+    assert compare_unitary(g1, g2).verdict == "isomorphic"
     res = compare_k1(g1, g2)
-    assert res.is_not_isomorphic
+    assert res.verdict == "not_isomorphic"
     assert "free rank 1 vs 2" in res.evidence
     note("PASS criterion 8: Z + countable torsion vs Z^2 + countable "
          "torsion: unitary groups isomorphic, K1 separated by "
@@ -152,7 +152,7 @@ def test_criterion_08_mixed_rank_pair(note):
 def test_criterion_09_countable_torsion_erased(note):
     g1 = AbGroupDesc(TorsionDesc.countably_infinite(), FreeOfRank(1))
     g2 = AbGroupDesc(TorsionDesc.countably_infinite(), FreeOfRank(1))
-    assert compare_unitary(g1, g2).is_isomorphic
+    assert compare_unitary(g1, g2).verdict == "isomorphic"
     note("PASS criterion 9: countable torsion subgroups of different "
          "listed structure give isomorphic unitary groups")
 
@@ -162,9 +162,9 @@ def test_criterion_10_rank1_types_decide(note):
         return AbGroupDesc.torsion_free(
             Rank1(rank1_tower_from_supernatural(Supernatural.of(sup))))
     equal = compare_unitary(grp({2: INF, 3: 4}), grp({2: INF}))
-    assert equal.is_isomorphic
+    assert equal.verdict == "isomorphic"
     disjoint = compare_unitary(grp({5: INF}), grp({7: INF}))
-    assert disjoint.is_not_isomorphic
+    assert disjoint.verdict == "not_isomorphic"
     note("PASS criterion 10: rank-1 comparison decides by type: equal "
          "types isomorphic, disjoint infinity-supports not")
 
@@ -177,21 +177,19 @@ def test_criterion_11_configured_pair_pipeline(note):
     assert wedge_square_type(cfg.gamma1) == wedge_square_type(cfg.gamma2)
     delta1 = AbGroupDesc.torsion_free(direct_sum_of([FreeOfRank(2), g1f]))
     delta2 = AbGroupDesc.torsion_free(direct_sum_of([FreeOfRank(2), g2f]))
-    assert compare_k1(delta1, delta2, (w,)).is_isomorphic
+    assert compare_k1(delta1, delta2, (w,)).verdict == "isomorphic"
     z2 = TorsionDesc(FgAbGroup(0, (2,)))
     assert compare_unitary(AbGroupDesc(z2, g1f), AbGroupDesc(z2, g2f),
-                           (w,)).is_isomorphic
+                           (w,)).verdict == "isomorphic"
     entries, _ = builtin_gallery(cfg)
-    statuses = {(r.name, cr.kind): cr.status
-                for r in verify_gallery(entries) for cr in r.results}
+    statuses = {v.label: v.verdict for v in verify_gallery(entries)}
     assert all(s in (PASS, SKIPPED) for s in statuses.values())
-    assert statuses[("four-rank-pair", "group_non_iso")] == SKIPPED
+    assert statuses["four-rank-pair.group_non_iso"] == SKIPPED
     # without the configuration the dependent entries vanish and
     # everything else still verifies
     bare, notices = builtin_gallery(None)
     assert notices
-    assert all(cr.status == PASS
-               for r in verify_gallery(bare) for cr in r.results)
+    assert all(v.verdict == PASS for v in verify_gallery(bare))
     note("PASS criterion 11: configured pair: witness valid, wedge-square "
          "types equal, K1 and unitary comparisons isomorphic, "
          "non-isomorphism claims reported as literature-trusted")

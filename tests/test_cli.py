@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: commands, formats, exit codes, round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import abelk
 from abelk.cli import Report, Verdict, main
+
+PACKAGED_CONFIG = (Path(abelk.__file__).parent / "data"
+                   / "fuchs_loonstra.json")
 
 
 @pytest.fixture
@@ -110,6 +115,15 @@ class TestExitCodes:
         path = files("half.grp", json.dumps(
             {"free": {"tower": {"rank": 1, "period": [[[2]]]}}}))
         assert main(["height", path, "4"]) == 2
+
+    @pytest.mark.parametrize("entry", [2.7, True])
+    def test_gallery_config_entry_not_an_integer(self, files, entry):
+        # the packaged configuration with one period entry 2 replaced
+        cfg = json.loads(PACKAGED_CONFIG.read_text())
+        assert cfg["gamma1"]["period"][0][0][0] == 2
+        cfg["gamma1"]["period"][0][0][0] = entry
+        path = files("cfg.json", json.dumps(cfg))
+        assert main(["verify-gallery", "--gallery-config", path]) == 2
 
     def test_type_on_higher_rank(self, files):
         path = files("z4.grp", Z4)

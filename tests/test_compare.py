@@ -64,25 +64,26 @@ class TestUnitaryInvariant:
 class TestCompareDecidable:
     def test_free_ranks(self):
         res = compare_free_parts(FreeOfRank(3), FreeOfRank(3))
-        assert res.is_isomorphic
+        assert res.verdict == "isomorphic"
         res = compare_free_parts(FreeOfRank(1), FreeOfRank(2))
-        assert res.is_not_isomorphic
+        assert res.verdict == "not_isomorphic"
         assert res.evidence == "free rank 1 vs 2"
 
     def test_type_multisets(self):
         a = CompletelyDecomposable(((TAU2, 2), (TAU3, 1)))
         b = direct_sum_of([rank1_of({2: INF}), rank1_of({2: INF, 7: 3}),
                            rank1_of({3: INF})])
-        assert compare_free_parts(a, b).is_isomorphic
+        assert compare_free_parts(a, b).verdict == "isomorphic"
         c = CompletelyDecomposable(((TAU2, 1), (TAU3, 2)))
-        assert compare_free_parts(a, c).is_not_isomorphic
+        assert compare_free_parts(a, c).verdict == "not_isomorphic"
 
     def test_rank1_types_decide(self):
         same1 = rank1_of({2: INF, 3: 5})
         same2 = rank1_of({2: INF})
-        assert compare_free_parts(same1, same2).is_isomorphic
+        assert compare_free_parts(same1, same2).verdict == "isomorphic"
         disjoint = rank1_of({5: INF})
-        assert compare_free_parts(same1, disjoint).is_not_isomorphic
+        assert (compare_free_parts(same1, disjoint).verdict
+                == "not_isomorphic")
 
     def test_completely_decomposable_never_unknown(self):
         rng = random.Random(71)
@@ -95,22 +96,22 @@ class TestCompareDecidable:
                               + [rand_part() for _ in range(rng.randint(0, 3))])
             b = direct_sum_of([FreeOfRank(rng.randint(0, 2))]
                               + [rand_part() for _ in range(rng.randint(0, 3))])
-            assert not compare_free_parts(a, b).is_unknown
+            assert compare_free_parts(a, b).verdict != "unknown"
 
     def test_omega_multiplicities(self):
         a = CompletelyDecomposable(((TAU2, OMEGA_COPIES),))
         b = direct_sum_of([CompletelyDecomposable(((TAU2, OMEGA_COPIES),)),
                            rank1_of({2: INF})])
         # omega + 1 copies of the same type is still omega copies
-        assert compare_free_parts(a, b).is_isomorphic
+        assert compare_free_parts(a, b).verdict == "isomorphic"
         c = CompletelyDecomposable(((TAU3, OMEGA_COPIES),))
-        assert compare_free_parts(a, c).is_not_isomorphic
+        assert compare_free_parts(a, c).verdict == "not_isomorphic"
 
     def test_finite_vs_infinite_rank(self):
         a = FreeOfRank(4)
         b = CompletelyDecomposable(((TAU2, OMEGA_COPIES),))
         res = compare_free_parts(a, b)
-        assert res.is_not_isomorphic
+        assert res.verdict == "not_isomorphic"
         assert "finite" in res.evidence
 
 
@@ -121,7 +122,7 @@ class TestCompareSeparation:
         t_plane = Tower(2, (), (IntMatrix.from_rows([[2, 0], [0, 2]]),))
         t_line = Tower(2, (), (IntMatrix.from_rows([[2, 0], [0, 1]]),))
         res = compare_free_parts(TowerForm(t_plane), TowerForm(t_line))
-        assert res.is_not_isomorphic
+        assert res.verdict == "not_isomorphic"
         assert "p-rank at p=2" in res.evidence
 
     def test_top_wedge_separates(self):
@@ -129,20 +130,20 @@ class TestCompareSeparation:
         t11 = cfg.gamma1  # wedge-square type 11^inf
         t_free_wedge = Tower(2, (), (IntMatrix.from_rows([[2, 1], [1, 1]]),))
         res = compare_free_parts(TowerForm(t11), TowerForm(t_free_wedge))
-        assert res.is_not_isomorphic
+        assert res.verdict == "not_isomorphic"
 
     def test_unknown_without_witness(self):
         cfg = default_pair_config()
         res = compare_free_parts(TowerForm(cfg.gamma1),
                                  TowerForm(cfg.gamma2))
-        assert res.is_unknown
+        assert res.verdict == "unknown"
 
     def test_structural_equality_matches(self):
         rng = random.Random(73)
         for _ in range(10):
             t = rand_tower(rng, 2)
             assert compare_free_parts(TowerForm(t),
-                                      TowerForm(t)).is_isomorphic
+                                      TowerForm(t)).verdict == "isomorphic"
 
 
 class TestSymmetry:
@@ -196,9 +197,9 @@ class TestWitness:
         w = self.fl_witness()
         a = direct_sum_of([TowerForm(cfg.gamma1)] * 2)
         b = direct_sum_of([TowerForm(cfg.gamma2)] * 2)
-        assert compare_free_parts(a, b, (w,)).is_isomorphic
+        assert compare_free_parts(a, b, (w,)).verdict == "isomorphic"
         # orientation does not matter
-        assert compare_free_parts(b, a, (w,)).is_isomorphic
+        assert compare_free_parts(b, a, (w,)).verdict == "isomorphic"
 
 
 class TestCompareGroups:
@@ -206,20 +207,20 @@ class TestCompareGroups:
         inf = TorsionDesc.countably_infinite()
         g1 = AbGroupDesc(inf, FreeOfRank(1))
         g2 = AbGroupDesc(inf, FreeOfRank(2))
-        assert compare_unitary(g1, g2).is_isomorphic
+        assert compare_unitary(g1, g2).verdict == "isomorphic"
         res = compare_k1(g1, g2)
-        assert res.is_not_isomorphic
+        assert res.verdict == "not_isomorphic"
         assert "free rank 1 vs 2" in res.evidence
 
     def test_torsion_cardinality_separates(self):
         g1 = AbGroupDesc(TorsionDesc(FgAbGroup(0, (2,))), FreeOfRank(1))
         g2 = AbGroupDesc(TorsionDesc(FgAbGroup(0, (3,))), FreeOfRank(1))
         res = compare_unitary(g1, g2)
-        assert res.is_not_isomorphic
+        assert res.verdict == "not_isomorphic"
         assert "cardinality" in res.evidence
 
     def test_same_finite_torsion_order_isomorphic(self):
         # different listed structure, same cardinal and free part
         g1 = AbGroupDesc(TorsionDesc(FgAbGroup(0, (4,))), FreeOfRank(1))
         g2 = AbGroupDesc(TorsionDesc(FgAbGroup(0, (2, 2))), FreeOfRank(1))
-        assert compare_unitary(g1, g2).is_isomorphic
+        assert compare_unitary(g1, g2).verdict == "isomorphic"

@@ -4,17 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from abelk import (Claim, GalleryEntry, RatMatrix, TowerForm, Witness,
-                   builtin_gallery, render_report, verify_entry,
+from abelk import (Claim, GalleryEntry, RatMatrix, TowerForm, Verdict,
+                   Witness, builtin_gallery, render_report, verify_entry,
                    verify_gallery)
-from abelk.gallery import (FAIL, PASS, SKIPPED, default_pair_config,
+from abelk.gallery import (FAIL, NOTICE, PASS, SKIPPED, default_pair_config,
                            load_pair_config)
+from abelk.groupfile import ParseError
 from abelk.groups import AbGroupDesc
-
-
-def all_results(reports):
-    return [(r.name, cr.kind, cr.status)
-            for r in reports for cr in r.results]
 
 
 class TestConstruction:
@@ -41,25 +37,23 @@ class TestConstruction:
 class TestVerification:
     def test_everything_passes_or_skips(self):
         entries, _ = builtin_gallery(default_pair_config())
-        reports = verify_gallery(entries)
-        statuses = {s for _, _, s in all_results(reports)}
+        statuses = {v.verdict for v in verify_gallery(entries)}
         assert statuses == {PASS, SKIPPED}
 
     def test_literature_claims_skipped_with_citation(self):
         entries, _ = builtin_gallery(default_pair_config())
-        reports = verify_gallery(entries)
-        skipped = [cr for r in reports for cr in r.results
-                   if cr.status == SKIPPED]
+        skipped = [v for v in verify_gallery(entries) if v.verdict == SKIPPED]
         assert skipped
-        assert all(cr.kind == "group_non_iso" and "Fuchs" in cr.evidence
-                   for cr in skipped)
+        assert all(v.label.endswith(".group_non_iso") and "Fuchs" in v.evidence
+                   for v in skipped)
 
     def test_report_sorted_and_deterministic(self):
         entries, notices = builtin_gallery(default_pair_config())
-        r1 = render_report(verify_gallery(entries), notices)
-        r2 = render_report(verify_gallery(list(reversed(entries))), notices)
+        notes = [Verdict(NOTICE, n) for n in notices]
+        r1 = render_report(verify_gallery(entries) + notes)
+        r2 = render_report(verify_gallery(list(reversed(entries))) + notes)
         assert r1 == r2
-        names = [r.name for r in verify_gallery(entries)]
+        names = [v.label.rpartition(".")[0] for v in verify_gallery(entries)]
         assert names == sorted(names)
 
     def test_invalid_witness_fails_entry(self):
@@ -75,13 +69,13 @@ class TestVerification:
              AbGroupDesc.torsion_free(TowerForm(cfg.gamma2))),
             (bad,),
             (Claim("witness_valid"),))
-        report = verify_entry(entry)
-        assert report.failed
-        assert report.results[0].status == FAIL
+        results = verify_entry(entry)
+        assert any(v.verdict == FAIL for v in results)
+        assert results[0].verdict == FAIL
 
     def test_unknown_claim_kind_fails(self):
         entry = GalleryEntry("odd", claims=(Claim("no_such_kind"),))
-        assert verify_entry(entry).results[0].status == FAIL
+        assert verify_entry(entry)[0].verdict == FAIL
 
 
 class TestConfig:
@@ -94,6 +88,19 @@ class TestConfig:
     def test_load_rejects_garbage(self):
         with pytest.raises(Exception):
             load_pair_config("{not json")
+
+    @pytest.mark.parametrize("text, path", [
+        ('{"gamma1": {"rank": 1, "period": [[[2.7]]]},'
+         ' "gamma2": {"rank": 1}, "witness": {"matrix": [[1]]}}',
+         r"\$\.gamma1\.period\[0\]"),
+        ('{"gamma1": {"rank": 1}, "gamma2": {"rank": 1},'
+         ' "witness": {"copies": true, "matrix": [[1]]}}',
+         r"\$\.witness\.copies"),
+        ('{"gamma1": {"rank": 1}, "gamma2": {"rank": 1}}', r"witness"),
+    ], ids=["float-entry", "boolean-copies", "missing-witness"])
+    def test_validated_like_group_files(self, text, path):
+        with pytest.raises(ParseError, match=path):
+            load_pair_config(text)
 
     def test_fraction_entries_accepted(self):
         cfg_text = """

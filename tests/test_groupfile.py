@@ -66,6 +66,12 @@ class TestErrors:
         with pytest.raises(ParseError, match="not prime"):
             parse_group_file('{"free": {"rank1": {"6": 1}}}')
 
+    @pytest.mark.parametrize("key", ["\u00b2", "\u0663"],
+                             ids=["superscript-two", "arabic-indic-three"])
+    def test_prime_key_must_be_ascii_digits(self, key):
+        with pytest.raises(ParseError, match="prime expected"):
+            parse_group_file('{"free": {"rank1": {"%s": 1}}}' % key)
+
     def test_primes_must_increase(self):
         with pytest.raises(ParseError, match="increasing"):
             parse_group_file('{"free": {"rank1": {"5": 1, "3": 1}}}')
@@ -82,6 +88,21 @@ class TestErrors:
     def test_missing_free(self):
         with pytest.raises(ParseError, match="free"):
             parse_group_file('{"torsion": "trivial"}')
+
+    # JSON true is a Python int; it must not be read as the integer 1
+    @pytest.mark.parametrize("text, path", [
+        ('{"free": {"rank1": {"2": true}}}', r"\$\.free\.rank1\.2"),
+        ('{"free": {"tower": {"rank": 1, "period": [[[true]]]}}}',
+         r"\$\.free\.tower\.period\[0\]"),
+        ('{"free": {"tower": {"rank": true, "period": [[[2]]]}}}',
+         r"\$\.free\.tower"),
+        ('{"free": {"free": true}}', r"\$\.free\.free"),
+        ('{"free": {"cd": [{"type": {"2": "inf"}, "copies": true}]}}',
+         r"\$\.free\.cd\[0\]\.copies"),
+    ], ids=["exponent", "matrix-entry", "rank", "free-rank", "cd-copies"])
+    def test_boolean_is_not_an_integer(self, text, path):
+        with pytest.raises(ParseError, match=path):
+            parse_group_file(text)
 
 
 class TestRoundTrip:
@@ -129,4 +150,13 @@ class TestWitnessFiles:
     def test_bad_fraction(self):
         with pytest.raises(ParseError, match=r"matrix\[0\]\[0\]"):
             parse_witness_file('{"copies": 1, "matrix": [["x"]],'
+                               ' "src": {"free": 1}, "dst": {"free": 1}}')
+
+    @pytest.mark.parametrize("copies, entry, path", [
+        ("true", "1", r"\$\.copies"),
+        ("1", "true", r"\$\.matrix\[0\]\[0\]"),
+    ], ids=["copies", "fraction-token"])
+    def test_boolean_is_not_an_integer(self, copies, entry, path):
+        with pytest.raises(ParseError, match=path):
+            parse_witness_file(f'{{"copies": {copies}, "matrix": [[{entry}]],'
                                ' "src": {"free": 1}, "dst": {"free": 1}}')

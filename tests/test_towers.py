@@ -251,6 +251,12 @@ class TestTypes:
         t = rank1_tower_from_supernatural(s)
         assert characteristic(t, unit_element(t)) == s
 
+    def test_supernatural_rejects_composite_key(self):
+        with pytest.raises(ValueError, match="not prime"):
+            Supernatural.of({4: 1})
+        with pytest.raises(ValueError, match="not prime"):
+            Supernatural.of({4: 0})
+
     def test_typeclass_equality_and_hash(self):
         a = TypeClass(Supernatural.of({2: INF, 3: 4}))
         b = TypeClass(Supernatural.of({2: INF}))
