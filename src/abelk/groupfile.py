@@ -253,7 +253,9 @@ def parse_witness_file(text: str) -> Witness:
     for side in ("src", "dst"):
         if side not in data:
             _fail("$", f"missing \"{side}\" free part")
+    name = data.get("name", "witness")
+    if not isinstance(name, str):
+        _fail("$.name", f"name must be a string, got {name!r}")
     return Witness(copies, mat,
                    _parse_free(data["src"], "$.src"),
-                   _parse_free(data["dst"], "$.dst"),
-                   name=str(data.get("name", "witness")))
+                   _parse_free(data["dst"], "$.dst"), name=name)

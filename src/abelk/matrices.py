@@ -18,6 +18,32 @@ class SingularMatrixError(ValueError):
     """Raised when an inverse of a singular matrix is requested."""
 
 
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square list of rows m, by fraction-free Bareiss
+    elimination; m is overwritten."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk = m[k]
+        akk = pk[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * akk - aik * pk[j]) // prev
+        prev = akk
+    return sign * m[n - 1][n - 1]
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix stored row-major as a tuple of row tuples."""
@@ -73,31 +99,9 @@ class IntMatrix:
 
     def det(self) -> int:
         """Determinant by fraction-free Bareiss elimination."""
-        n = self.rows
-        if n != self.cols:
+        if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(self.entries[i][j] for j in col_idx)
-                               for i in row_idx))
+        return _bareiss([list(row) for row in self.entries])
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product (basis ordered with self's index major)."""
@@ -325,11 +329,11 @@ def compound_matrix(a: IntMatrix, k: int) -> IntMatrix:
                          f"{a.rows}x{a.cols} matrix")
     if k == 0:
         return IntMatrix.identity(1)
-    row_sets = list(itertools.combinations(range(a.rows), k))
     col_sets = list(itertools.combinations(range(a.cols), k))
     return IntMatrix(tuple(
-        tuple(a.submatrix(rs, cs).det() for cs in col_sets)
-        for rs in row_sets))
+        tuple(_bareiss([[row[j] for j in cs] for row in rs])
+              for cs in col_sets)
+        for rs in itertools.combinations(a.entries, k)))
 
 
 def binomial(n: int, k: int) -> int:

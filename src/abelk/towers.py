@@ -17,7 +17,10 @@ Divisibility, membership and p-heights are decided exactly:
   proves there is none;
 * the same bound gives the stable power Q^N mod m (N >= r * Omega(m), by
   repeated squaring) whose kernel and image are those of every later
-  power; p-ranks (m = p) and the wedge divisibility search read it off;
+  power; the wedge divisibility search reads it off.  A p-rank needs no
+  power: over F_p the stable image has dimension r minus the multiplicity
+  of 0 as an eigenvalue of Q, read off the characteristic polynomial of
+  Q mod p after a Hessenberg reduction;
 * infinite p-height is detected by a minimal-polynomial criterion: the
   p-valuation of the element's coordinates grows without bound iff every
   root of the minimal polynomial of the period product on the element's
@@ -481,6 +484,8 @@ def stable_period_power(t: Tower, mod: int, length: int) -> IntMatrix:
     powers of Q stop changing by then: Q^N has the kernel and the image of
     every later power.  N is a power of two, reached by
     ceil(log2(rank * length)) squarings of the reduced period product.
+    The wedge divisibility search needs it for composite mod, where Z/mod
+    is not a field; p-ranks take the shorter route of mod_p_rank.
     """
     q = _reduce(t.period_product(), mod)
     for _ in range((t.rank * length - 1).bit_length()):
@@ -488,29 +493,66 @@ def stable_period_power(t: Tower, mod: int, length: int) -> IntMatrix:
     return q
 
 
+def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial mod p of the square list of rows h, as
+    coefficients from degree 0 up (monic); h is overwritten.
+
+    h is first brought to upper Hessenberg form by similarity transforms
+    over F_p (each row operation with its inverse column operation), then
+    the polynomial follows from the recurrence on its leading principal
+    minors (H. Cohen, A Course in Computational Algebraic Number Theory,
+    GTM 138, ch. 2).
+    """
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        inv = pow(h[m][m - 1], -1, p)
+        pivot_row = h[m]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if not u:
+                continue
+            # row i -= u * row m, then column m += u * column i
+            h[i] = [(x - u * y) % p for x, y in zip(h[i], pivot_row)]
+            for row in h:
+                row[m] = (row[m] + u * row[i]) % p
+    # polys[k]: characteristic polynomial of the leading k x k block
+    polys = [[1]]
+    for k in range(n):
+        nxt = [0] + polys[k]
+        for d, c in enumerate(polys[k]):
+            nxt[d] = (nxt[d] - h[k][k] * c) % p
+        sub = 1
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            f = h[i][k] * sub % p
+            for d, c in enumerate(polys[i]):
+                nxt[d] = (nxt[d] - f * c) % p
+        polys.append(nxt)
+    return polys[n]
+
+
 def mod_p_rank(t: Tower, p: int) -> int:
     """Dimension of (limit group)/p over F_p.
 
-    Equals the rank mod p of the stable period power, whose image is the
-    limit of the images of the period products; the prefix is
-    cofinal-irrelevant.
+    The image of the limit group in (stage group)/p is the stable image of
+    the period product Q mod p (the prefix is cofinal-irrelevant).  By
+    Fitting's lemma over F_p its dimension is the rank minus the
+    multiplicity of 0 as an eigenvalue of Q mod p, the order at x of the
+    characteristic polynomial: one Hessenberg reduction, no powers of Q.
     """
-    rows = [list(row) for row in stable_period_power(t, p, 1).entries]
-    rank = 0
-    col = 0
-    n = len(rows)
-    while rank < n and col < n:
-        piv = next((r for r in range(rank, n) if rows[r][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    if not t.period:
+        return t.rank
+    q = _reduce(t.period[0], p)
+    for m in t.period[1:]:
+        q = _reduce(_reduce(m, p) @ q, p)
+    chi = _hessenberg_charpoly([list(row) for row in q.entries], p)
+    return t.rank - next(d for d, c in enumerate(chi) if c)

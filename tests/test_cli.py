@@ -125,6 +125,13 @@ class TestExitCodes:
         path = files("cfg.json", json.dumps(cfg))
         assert main(["verify-gallery", "--gallery-config", path]) == 2
 
+    def test_witness_name_not_a_string(self, files, capsys):
+        data = json.loads(WITNESS)
+        data["name"] = 7
+        path = files("w.json", json.dumps(data))
+        assert main(["check-witness", path]) == 2
+        assert "$.name" in capsys.readouterr().err
+
     def test_type_on_higher_rank(self, files):
         path = files("z4.grp", Z4)
         assert main(["type", path]) == 2

@@ -160,3 +160,15 @@ class TestWitnessFiles:
         with pytest.raises(ParseError, match=path):
             parse_witness_file(f'{{"copies": {copies}, "matrix": [[{entry}]],'
                                ' "src": {"free": 1}, "dst": {"free": 1}}')
+
+    @pytest.mark.parametrize("name", ['{"a": [1]}', "7", "null", "true"],
+                             ids=["object", "number", "null", "boolean"])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ParseError, match=r"\$\.name"):
+            parse_witness_file(f'{{"name": {name}, "matrix": [[1]],'
+                               ' "src": {"free": 1}, "dst": {"free": 1}}')
+
+    def test_name_defaults_to_witness(self):
+        w = parse_witness_file('{"matrix": [[1]],'
+                               ' "src": {"free": 1}, "dst": {"free": 1}}')
+        assert w.name == "witness"

@@ -1,5 +1,6 @@
 """Exact linear algebra: determinants, Smith form, compounds, inverses."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -125,6 +126,45 @@ class TestCompound:
             for k in range(1, n + 1):
                 assert (compound_matrix(a, k).det()
                         == a.det() ** binomial(n - 1, k - 1))
+
+
+def sympy_minor_dets(a: IntMatrix, k: int) -> list[list[int]]:
+    """Every k x k minor of a by sympy, in the lexicographic subset order."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    out = []
+    for rs in itertools.combinations(range(a.rows), k):
+        row = []
+        for cs in itertools.combinations(range(a.cols), k):
+            minor = [[sympy.ZZ(a[i, j]) for j in cs] for i in rs]
+            row.append(int(DomainMatrix(minor, (k, k), sympy.ZZ).det()))
+        out.append(row)
+    return out
+
+
+class TestCompoundAgainstSympy:
+    def test_wide_entries(self):
+        # entries of about 300 bits, the size the K-group towers reach
+        rng = random.Random(13)
+        for _ in range(3):
+            a = IntMatrix.from_rows([[rng.randint(-2 ** 300, 2 ** 300)
+                                      for _ in range(6)] for _ in range(6)])
+            for k in range(1, 7):
+                assert (compound_matrix(a, k)
+                        == IntMatrix.from_rows(sympy_minor_dets(a, k))), k
+
+    def test_sparse_minors_need_row_swaps(self):
+        # mostly zeros: many minors have a zero leading entry, so the
+        # elimination must swap rows inside them (or find them singular)
+        rng = random.Random(17)
+        for _ in range(12):
+            n = rng.randint(3, 6)
+            a = IntMatrix.from_rows([[rng.choice((0, 0, 0, 0, 1, -1, 3))
+                                      for _ in range(n)] for _ in range(n)])
+            for k in range(1, n + 1):
+                assert (compound_matrix(a, k)
+                        == IntMatrix.from_rows(sympy_minor_dets(a, k))), \
+                    (a, k)
 
 
 class TestBlockOperations:

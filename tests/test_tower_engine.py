@@ -1,6 +1,8 @@
 """The Fitting-bounded tower engine against the orbit-walk reference,
-the stable period power behind p-ranks, and primality at the boundary."""
+p-ranks against the stable period power and sympy, and primality at the
+boundary."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,11 +10,13 @@ import pytest
 
 from abelk import (GroupElement, INF, IntMatrix, Tower, direct_sum_towers,
                    height, is_divisible, membership, parse_group_file,
-                   smith_normal_form, tensor_towers)
+                   rational_inverse, smith_normal_form, tensor_towers)
 from abelk import towers
 from abelk.towers import is_prime, mod_p_rank
+from abelk.wedge import wedge_power_tower
 
-from conftest import orbit_first_stage, orbit_first_stage_mod, rand_tower
+from conftest import (orbit_first_stage, orbit_first_stage_mod,
+                      rand_nonsingular, rand_tower)
 
 MODULI = (2, 3, 4, 6, 8, 9, 12, 25, 27, 36)
 
@@ -77,6 +81,65 @@ def rank_mod_p_by_smith(m: IntMatrix, p: int) -> int:
     return sum(1 for d in smith_normal_form(m).diagonal() if d % p)
 
 
+def unimodular_pair(rng, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """A random U with det +-1 and its inverse, by elementary row moves."""
+    u = IntMatrix.identity(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        e[i][j] = rng.choice((-2, -1, 1, 2))
+        u = IntMatrix.from_rows(e) @ u
+    inv = rational_inverse(u.to_rational())
+    return u, IntMatrix.from_rows([[int(x) for x in row]
+                                   for row in inv.entries])
+
+
+def jordan_conjugate(rng, n: int, p: int) -> tuple[IntMatrix, int]:
+    """U J U^-1 for J a random sum of Jordan blocks, each with an eigenvalue
+    that is 0 mod p (a nilpotent chain mod p) or a unit mod p, and the
+    total size of the blocks whose eigenvalue is a unit."""
+    diag, sup, units = [], [], 0
+    while len(diag) < n:
+        size = rng.randint(1, n - len(diag))
+        if rng.random() < 0.5:
+            lam = rng.choice((p, -p, 2 * p))
+        else:
+            lam = rng.choice((1, -1, p + 1, rng.randint(1, p - 1)))
+            units += size
+        diag += [lam] * size
+        sup += [1] * (size - 1) + [0]
+    j = IntMatrix.from_rows([[diag[r] if r == c else
+                              sup[r] if c == r + 1 else 0
+                              for c in range(n)] for r in range(n)])
+    u, u_inv = unimodular_pair(rng, n)
+    return u @ j @ u_inv, units
+
+
+def rank_mod_p_by_sympy(t: Tower, p: int) -> int:
+    """Rank over GF(p) of Q^rank for the period product Q."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    q = DomainMatrix([[sympy.ZZ(x) for x in row]
+                      for row in t.period_product().entries],
+                     (t.rank, t.rank), sympy.ZZ).convert_to(sympy.GF(p))
+    return (q ** t.rank).rank()
+
+
+def jordan_towers(seed: int, count: int):
+    """(tower, p, expected p-rank or None when the period has more than
+    one matrix), with ranks 1-8 and period lengths 0-3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, p = rng.randint(1, 8), rng.choice((2, 3, 5, 7))
+        length = rng.randint(0, 3)
+        pairs = [jordan_conjugate(rng, n, p) for _ in range(length)]
+        prefix = tuple(rand_nonsingular(rng, n, -3, 3)
+                       for _ in range(rng.randint(0, 1)))
+        expected = (n if not pairs else pairs[0][1] if length == 1
+                    else None)
+        yield Tower(n, prefix, tuple(m for m, _ in pairs)), p, expected
+
+
 class TestModPRank:
     def test_matches_rank_of_period_power(self):
         for _, t in random_cases(709, 120):
@@ -96,6 +159,46 @@ class TestModPRank:
     def test_rank1_periodic(self):
         assert mod_p_rank(rank1(period=[6]), 2) == 0
         assert mod_p_rank(rank1(period=[6]), 5) == 1
+
+    def test_jordan_blocks_against_stable_power(self):
+        # zero subdiagonals and long nilpotent chains mod p
+        for t, p, expected in jordan_towers(711, 150):
+            got = mod_p_rank(t, p)
+            if expected is not None:
+                assert got == expected, (t, p)
+            assert got == rank_mod_p_by_smith(
+                towers.stable_period_power(t, p, 1), p), (t, p)
+
+    def test_against_sympy(self):
+        for t, p, _ in jordan_towers(713, 80):
+            assert mod_p_rank(t, p) == rank_mod_p_by_sympy(t, p), (t, p)
+        rng = random.Random(715)
+        for _ in range(40):
+            t = rand_tower(rng, rng.randint(4, 8), max_prefix=1,
+                           max_period=3)
+            for p in (2, 3):
+                assert mod_p_rank(t, p) == rank_mod_p_by_sympy(t, p), (t, p)
+
+    def test_wedge_powers_take_binomials(self):
+        for t, p, _ in jordan_towers(717, 60):
+            if t.rank > 6:
+                continue
+            r = mod_p_rank(t, p)
+            for k in range(t.rank + 1):
+                assert (mod_p_rank(wedge_power_tower(t, k), p)
+                        == math.comb(r, k)), (t, p, k)
+
+    def test_additive_over_sums_multiplicative_over_tensors(self):
+        rng = random.Random(719)
+        cases = [(t, p) for t, p, _ in jordan_towers(721, 120)
+                 if t.rank <= 4]
+        for _ in range(40):
+            (t, p), (u, _) = rng.sample(cases, 2)
+            rt, ru = mod_p_rank(t, p), mod_p_rank(u, p)
+            assert mod_p_rank(direct_sum_towers([t, u]), p) == rt + ru, \
+                (t, u, p)
+            assert mod_p_rank(tensor_towers([t, u]), p) == rt * ru, \
+                (t, u, p)
 
 
 FIB = IntMatrix.from_rows([[0, 1], [1, 1]])
