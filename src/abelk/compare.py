@@ -11,15 +11,18 @@ separating invariant, and Unknown otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .fg import Cardinal, torsion_cardinal
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
                      FreePart, OmegaCopies, Summands, TowerForm,
                      direct_sum_of, flatten, summand_towers, OMEGA_COPIES)
-from .matrices import RatMatrix, rational_inverse
-from .towers import (INF, Supernatural, Tower, TypeClass, characteristic,
-                     direct_sum_towers, membership, mod_p_rank, unit_element)
+from .matrices import (IntMatrix, RatMatrix, SingularMatrixError,
+                       integer_inverse)
+from .towers import (INF, Supernatural, Tower, TypeClass,
+                     _first_stage_reaching_zero, characteristic,
+                     direct_sum_towers, mod_p_rank, unit_element)
 from .wedge import k1 as _k1, wedge_power_tower
 
 ISOMORPHIC = "isomorphic"
@@ -64,41 +67,86 @@ class Witness:
     name: str = "witness"
 
 
-def _combined_tower(f: FreePart, copies: int) -> Tower:
-    towers = summand_towers(f)
-    block = direct_sum_towers(towers) if len(towers) > 1 else towers[0]
-    if copies > 1:
-        block = direct_sum_towers([block] * copies)
-    return block
+def _combined_tower(towers: list[Tower], copies: int) -> Tower:
+    """The tower of copies of the direct sum of towers."""
+    towers = towers * copies
+    return direct_sum_towers(towers) if len(towers) > 1 else towers[0]
+
+
+def _reduced(rows, d: int) -> tuple[list[tuple[int, ...]], int]:
+    """The integer rows over the denominator d, with the common factor of
+    d and every entry divided out."""
+    g = math.gcd(d, *(x for row in rows for x in row))
+    if g == 1:
+        return rows, d
+    return [tuple(x // g for x in row) for row in rows], d // g
+
+
+def _maps_lattices_into(tower: Tower, other: Tower, rows, d: int) -> bool:
+    """Whether the matrix rows / d maps the stage-s lattice of tower into
+    the limit group of other for every s up to tower's prefix plus two
+    periods.
+
+    The stage-s generators are the columns of T(0, s)^-1, so their images
+    are the columns of G_s = (rows / d) T(0, s)^-1, carried as integer
+    rows over one denominator: G_s = G_(s-1) Q_(s-1)^-1, with each
+    distinct connecting matrix Q inverted once.  All n images are decided
+    by one residue walk mod the denominator of G_s in other.
+    """
+    bound = len(tower.prefix) + 2 * max(1, len(tower.period))
+    inverses = {}
+    for s in range(bound + 1):
+        if s:
+            q = tower.stage_matrix(s - 1)
+            if q not in inverses:
+                b, e = integer_inverse(q)
+                inverses[q] = tuple(zip(*b.entries)), e
+            cols, e = inverses[q]
+            rows, d = _reduced([tuple(sum(x * y for x, y in zip(row, col))
+                                      for col in cols) for row in rows],
+                               d * e)
+        if _first_stage_reaching_zero(other, 0, zip(*rows), d) is None:
+            return False
+    return True
 
 
 def check_witness(w: Witness) -> bool:
-    """Validate a witness by membership tests in both directions.
+    """Check a witness by membership tests in both directions.
 
     Every stage-s lattice generator of the source must map into the target
-    and vice versa under the inverse; stages are checked up to the combined
-    prefix plus two full periods, past which the denominator pattern of the
-    generators repeats with the period.
+    and vice versa under the inverse, for every s up to the prefix plus
+    two full periods of the tower it comes from.  This is a finite check,
+    not a proof: nothing shows that the images past that horizon stay in
+    the limit group, and the identity map from Z[1/2]^2 to (1/8)Z^2, two
+    non-isomorphic groups, passes it.  The check runs in integers: the
+    map and each connecting matrix are inverted once as an integer matrix
+    over a denominator, and one residue walk per stage decides all
+    generators at once.
     """
-    src = _combined_tower(w.src, w.copies)
-    dst = _combined_tower(w.dst, w.copies)
+    # copies below 1 count as one copy; the ranks are compared before any
+    # direct sum is built, so an oversized copies count is rejected at once
+    copies = max(w.copies, 1)
+    src_towers, dst_towers = summand_towers(w.src), summand_towers(w.dst)
+    src_rank = copies * sum(t.rank for t in src_towers)
+    dst_rank = copies * sum(t.rank for t in dst_towers)
     n = w.map.rows
-    if w.map.cols != n or src.rank != n or dst.rank != n:
+    if w.map.cols != n or src_rank != n or dst_rank != n:
         raise DimensionMismatchError(
             f"witness map is {w.map.rows}x{w.map.cols}, towers have ranks "
-            f"{src.rank} and {dst.rank}")
-    if w.map.det() == 0:
-        raise SingularWitnessError("witness map is singular")
-    inv = rational_inverse(w.map)
-    for tower, other, mat in ((src, dst, w.map), (dst, src, inv)):
-        bound = len(tower.prefix) + 2 * max(1, len(tower.period))
-        for s in range(bound + 1):
-            gens = rational_inverse(tower.transition(0, s).to_rational())
-            for j in range(n):
-                image = mat.apply(gens.column(j))
-                if membership(other, image) is None:
-                    return False
-    return True
+            f"{src_rank} and {dst_rank}")
+    den = math.lcm(*(x.denominator for row in w.map.entries for x in row))
+    a = IntMatrix(tuple(tuple(x.numerator * (den // x.denominator)
+                              for x in row) for row in w.map.entries))
+    try:
+        b, e = integer_inverse(a)
+    except SingularMatrixError:
+        raise SingularWitnessError("witness map is singular") from None
+    src = _combined_tower(src_towers, copies)
+    dst = _combined_tower(dst_towers, copies)
+    # (a / den)^-1 = den * b / e
+    inv = _reduced([tuple(den * x for x in row) for row in b.entries], e)
+    return (_maps_lattices_into(src, dst, a.entries, den)
+            and _maps_lattices_into(dst, src, *inv))
 
 
 @dataclass(frozen=True)
@@ -291,10 +339,11 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
         dst = summand_towers(w.dst) * w.copies
         for a, b in ((src, dst), (dst, src)):
             trial1, trial2 = list(pool1), list(pool2)
-            if (_remove_multiset(trial1, a) and _remove_multiset(trial2, b)
-                    and check_witness(w)):
-                pool1, pool2 = trial1, trial2
-                used.append(w.name)
+            if _remove_multiset(trial1, a) and _remove_multiset(trial2, b):
+                # both orientations check the same map: check it once
+                if check_witness(w):
+                    pool1, pool2 = trial1, trial2
+                    used.append(w.name)
                 break
     # structural cancellation of identical presentations
     for t in list(pool1):

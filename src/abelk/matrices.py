@@ -161,9 +161,6 @@ class RatMatrix:
         return tuple(sum(a * Fraction(b) for a, b in zip(row, vec))
                      for row in self.entries)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def det(self) -> Fraction:
         n = self.rows
         if n != self.cols:
@@ -213,6 +210,46 @@ def rational_inverse(a: RatMatrix) -> RatMatrix:
                 f = m[r][i]
                 m[r] = [x - f * y for x, y in zip(m[r], m[i])]
     return RatMatrix(tuple(tuple(row[n:]) for row in m))
+
+
+def integer_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
+    """Inverse of an integer matrix as (B, d) with a @ B == d * I, d > 0
+    and no common factor of d and all entries of B: a^-1 = B / d.
+
+    Fraction-free Gauss-Jordan (the Jordan variant of Bareiss): every
+    division by the previous pivot is exact, the left block ends as
+    +-det(a) * I and the right block as the same multiple of a^-1.
+    Raises SingularMatrixError when det(a) == 0.
+    """
+    n = a.rows
+    if n != a.cols:
+        raise ValueError("inverse of non-square matrix")
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a.entries)]
+    width = 2 * n
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                raise SingularMatrixError("matrix is singular")
+            m[k], m[pivot] = m[pivot], m[k]
+        pk = m[k]
+        akk = pk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            ri = m[i]
+            aik = ri[k]
+            for j in range(width):
+                ri[j] = (ri[j] * akk - aik * pk[j]) // prev
+        prev = akk
+    d = m[0][0]
+    g = math.gcd(d, *(x for row in m for x in row[n:]))
+    if d < 0:
+        g = -g
+    inv = IntMatrix(tuple(tuple(x // g for x in row[n:]) for row in m))
+    return inv, d // g
 
 
 @dataclass(frozen=True)

@@ -181,23 +181,32 @@ def elements_equal(t: Tower, e1: GroupElement, e2: GroupElement) -> bool:
     return push_to_stage(t, e1, s).coords == push_to_stage(t, e2, s).coords
 
 
-def _first_stage_reaching_zero(t: Tower, stage: int, vec,
+def _first_stage_reaching_zero(t: Tower, stage: int, vecs,
                                m: int) -> int | None:
-    """Least s >= stage with (transition to s)(vec) == 0 mod m, or None.
+    """Least s >= stage with (transition to s)(v) == 0 mod m for every v
+    in vecs, or None.
 
     Exact: by the Fitting bound in the module docstring, a residue that
     ever reaches 0 does so by stage
-    max(stage, prefix length) + rank * m.bit_length() * period length.
+    max(stage, prefix length) + rank * m.bit_length() * period length,
+    and stays 0 from then on, so one walk drops each vector once it is 0
+    and fails if any is left at that stage.
     """
     last = (max(stage, len(t.prefix))
             + t.rank * m.bit_length() * len(t.period))
-    cur = tuple(x % m for x in vec)
+    live = [cur for cur in (tuple(x % m for x in v) for v in vecs)
+            if any(cur)]
     s = stage
-    while any(cur):
+    while live:
         if s == last:
             return None
-        cur = tuple(sum(a * x for a, x in zip(row, cur)) % m
-                    for row in t.stage_matrix(s).entries)
+        rows = t.stage_matrix(s).entries
+        nxt = []
+        for v in live:
+            cur = tuple(sum(a * x for a, x in zip(row, v)) % m for row in rows)
+            if any(cur):
+                nxt.append(cur)
+        live = nxt
         s += 1
     return s
 
@@ -213,7 +222,7 @@ def membership(t: Tower, v) -> GroupElement | None:
         raise ValueError("coordinate length does not match tower rank")
     d = math.lcm(*(x.denominator for x in v))
     w = tuple(int(x * d) for x in v)
-    s = _first_stage_reaching_zero(t, 0, w, d)
+    s = _first_stage_reaching_zero(t, 0, [w], d)
     if s is None:
         return None
     coords = t.transition(0, s).apply(w)
@@ -225,7 +234,7 @@ def is_divisible(t: Tower, e: GroupElement, m: int) -> bool:
     """Whether e is divisible by m within the limit group."""
     if m < 1:
         raise ValueError("divisor must be >= 1")
-    return _first_stage_reaching_zero(t, e.stage, e.coords, m) is not None
+    return _first_stage_reaching_zero(t, e.stage, [e.coords], m) is not None
 
 
 def _min_valuation(vec, p: int):
@@ -309,7 +318,8 @@ def height(t: Tower, e: GroupElement, p: int):
     if all(c.numerator % p == 0 for c in minpoly[:-1]):
         return INF
     k = _min_valuation(e.coords, p)
-    while _first_stage_reaching_zero(t, s, e.coords, p ** (k + 1)) is not None:
+    while _first_stage_reaching_zero(t, s, [e.coords],
+                                     p ** (k + 1)) is not None:
         k += 1
     return k
 

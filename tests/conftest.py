@@ -2,7 +2,10 @@
 
 import random
 
-from abelk import GroupElement, IntMatrix, Tower, push_to_stage
+from abelk import (DimensionMismatchError, GroupElement, IntMatrix,
+                   SingularWitnessError, Tower, direct_sum_towers,
+                   membership, push_to_stage, rational_inverse)
+from abelk.groups import summand_towers
 
 
 def rand_nonsingular(rng: random.Random, n: int, lo=-9, hi=9) -> IntMatrix:
@@ -11,6 +14,19 @@ def rand_nonsingular(rng: random.Random, n: int, lo=-9, hi=9) -> IntMatrix:
                                  for _ in range(n)])
         if m.det() != 0:
             return m
+
+
+def unimodular_pair(rng, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """A random U with det +-1 and its inverse, by elementary row moves."""
+    u = IntMatrix.identity(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        e[i][j] = rng.choice((-2, -1, 1, 2))
+        u = IntMatrix.from_rows(e) @ u
+    inv = rational_inverse(u.to_rational())
+    return u, IntMatrix.from_rows([[int(x) for x in row]
+                                   for row in inv.entries])
 
 
 def rand_tower(rng: random.Random, rank: int, max_prefix=4,
@@ -87,3 +103,33 @@ def orbit_first_stage_mod(t: Tower, stage: int, vec, m: int) -> int | None:
             best = max(best, s)
         d += 1
     return best
+
+
+def naive_check_witness(w) -> bool:
+    """Reference witness check over Fraction: for each direction and each
+    stage s up to the prefix plus two periods, rebuild T(0, s), invert it,
+    apply the map to every generator column and test its membership one
+    column at a time."""
+    def combined(f):
+        towers = summand_towers(f)
+        block = direct_sum_towers(towers) if len(towers) > 1 else towers[0]
+        if w.copies > 1:
+            block = direct_sum_towers([block] * w.copies)
+        return block
+
+    src, dst = combined(w.src), combined(w.dst)
+    n = w.map.rows
+    if w.map.cols != n or src.rank != n or dst.rank != n:
+        raise DimensionMismatchError("dimension mismatch")
+    if w.map.det() == 0:
+        raise SingularWitnessError("witness map is singular")
+    inv = rational_inverse(w.map)
+    for tower, other, mat in ((src, dst, w.map), (dst, src, inv)):
+        bound = len(tower.prefix) + 2 * max(1, len(tower.period))
+        for s in range(bound + 1):
+            gens = rational_inverse(tower.transition(0, s).to_rational())
+            for j in range(n):
+                image = mat.apply(tuple(row[j] for row in gens.entries))
+                if membership(other, image) is None:
+                    return False
+    return True

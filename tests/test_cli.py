@@ -132,6 +132,23 @@ class TestExitCodes:
         assert main(["check-witness", path]) == 2
         assert "$.name" in capsys.readouterr().err
 
+    def test_oversized_copies(self, files, capsys, monkeypatch):
+        def no_sums(towers):
+            raise AssertionError("direct sum built before the rank check")
+
+        monkeypatch.setattr(abelk.compare, "direct_sum_towers", no_sums)
+        tower = {"tower": {"rank": 2, "period": [[[2, 1], [1, 1]]]}}
+        path = files("w.json", json.dumps(
+            {"copies": 10 ** 6, "matrix": [[1, 0], [0, 1]],
+             "src": tower, "dst": tower}))
+        assert main(["check-witness", path]) == 2
+        assert "witness map is 2x2" in capsys.readouterr().err
+
+    def test_witness_between_groups_of_rank_zero_and_one(self, files):
+        path = files("w.json", json.dumps(
+            {"matrix": [[1]], "src": {"free": 0}, "dst": {"free": 1}}))
+        assert main(["check-witness", path]) == 2
+
     def test_type_on_higher_rank(self, files):
         path = files("z4.grp", Z4)
         assert main(["type", path]) == 2

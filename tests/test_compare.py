@@ -12,6 +12,7 @@ from abelk import (AbGroupDesc, Cardinal, CompletelyDecomposable,
                    Witness, amplify, check_witness, compare_free_parts,
                    compare_k1, compare_unitary, direct_sum_of,
                    rank1_tower_from_supernatural, unitary_invariant)
+from abelk import compare
 from abelk.gallery import default_pair_config
 from abelk.groups import OMEGA_COPIES, flatten
 
@@ -191,6 +192,49 @@ class TestWitness:
         small = RatMatrix.from_rows([[Fraction(1)]])
         with pytest.raises(DimensionMismatchError):
             check_witness(Witness(w.copies, small, w.src, w.dst))
+
+    def test_oversized_copies_rejected_before_any_direct_sum(self,
+                                                             monkeypatch):
+        # the ranks come from the free parts, so a map that cannot fit is
+        # rejected without building a million-fold direct sum
+        def no_sums(towers):
+            raise AssertionError("direct sum built before the rank check")
+
+        monkeypatch.setattr(compare, "direct_sum_towers", no_sums)
+        t = TowerForm(Tower(2, period=(IntMatrix.from_rows([[2, 1],
+                                                            [1, 1]]),)))
+        w = Witness(10 ** 6, RatMatrix.identity(2), t, t)
+        with pytest.raises(DimensionMismatchError):
+            check_witness(w)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: finite horizon")
+    def test_identity_into_eighth_lattice_is_invalid(self):
+        # Z[1/2]^2 is not isomorphic to (1/8)Z^2 = Z^2, but the identity
+        # passes every stage up to the checked horizon
+        halves = TowerForm(Tower(2, period=(IntMatrix.from_rows(
+            [[2, 0], [0, 2]]),)))
+        eighths = TowerForm(Tower(2, prefix=(IntMatrix.from_rows(
+            [[8, 0], [0, 8]]),)))
+        w = Witness(1, RatMatrix.identity(2), halves, eighths, name="bogus")
+        assert check_witness(w) is False
+
+    def test_one_check_per_witness(self, monkeypatch):
+        # T + T' against T' + T matches the pools in both orientations; an
+        # invalid witness is still checked once
+        cfg = default_pair_config()
+        a, b = TowerForm(cfg.gamma1), TowerForm(cfg.gamma2)
+        calls = []
+
+        def counting(w):
+            calls.append(w.name)
+            return False
+
+        monkeypatch.setattr(compare, "check_witness", counting)
+        w = Witness(1, RatMatrix.identity(4), direct_sum_of([a, b]),
+                    direct_sum_of([b, a]), name="swap")
+        compare_free_parts(direct_sum_of([a, b]), direct_sum_of([b, a]),
+                           (w,))
+        assert calls == ["swap"]
 
     def test_witness_certifies_isomorphism(self):
         cfg = default_pair_config()

@@ -10,13 +10,13 @@ import pytest
 
 from abelk import (GroupElement, INF, IntMatrix, Tower, direct_sum_towers,
                    height, is_divisible, membership, parse_group_file,
-                   rational_inverse, smith_normal_form, tensor_towers)
+                   smith_normal_form, tensor_towers)
 from abelk import towers
 from abelk.towers import is_prime, mod_p_rank
 from abelk.wedge import wedge_power_tower
 
 from conftest import (orbit_first_stage, orbit_first_stage_mod,
-                      rand_nonsingular, rand_tower)
+                      rand_nonsingular, rand_tower, unimodular_pair)
 
 MODULI = (2, 3, 4, 6, 8, 9, 12, 25, 27, 36)
 
@@ -79,19 +79,6 @@ class TestAgainstOrbitWalk:
 
 def rank_mod_p_by_smith(m: IntMatrix, p: int) -> int:
     return sum(1 for d in smith_normal_form(m).diagonal() if d % p)
-
-
-def unimodular_pair(rng, n: int) -> tuple[IntMatrix, IntMatrix]:
-    """A random U with det +-1 and its inverse, by elementary row moves."""
-    u = IntMatrix.identity(n)
-    for _ in range(3 * n if n > 1 else 0):
-        i, j = rng.sample(range(n), 2)
-        e = [[int(r == c) for c in range(n)] for r in range(n)]
-        e[i][j] = rng.choice((-2, -1, 1, 2))
-        u = IntMatrix.from_rows(e) @ u
-    inv = rational_inverse(u.to_rational())
-    return u, IntMatrix.from_rows([[int(x) for x in row]
-                                   for row in inv.entries])
 
 
 def jordan_conjugate(rng, n: int, p: int) -> tuple[IntMatrix, int]:
