@@ -23,7 +23,7 @@ from .matrices import (IntMatrix, RatMatrix, SingularMatrixError,
 from .towers import (INF, Supernatural, Tower, TypeClass,
                      _first_stage_reaching_zero, characteristic,
                      direct_sum_towers, mod_p_rank, unit_element)
-from .wedge import k1 as _k1, wedge_power_tower
+from .wedge import _top_wedge, k1 as _k1
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not_isomorphic"
@@ -228,7 +228,8 @@ def unitary_invariant(d: AbGroupDesc) -> UnitaryInvariant:
 
 def _top_wedge_characteristic(s: Summands) -> Supernatural:
     """Characteristic of the top exterior power of the whole (finite) sum:
-    the tensor of the summands' top wedges, so exponents add."""
+    the tensor of the summands' top wedges, so exponents add.  Each top
+    wedge is the rank-1 tower of its summand's connecting determinants."""
     total: dict[int, object] = {}
 
     def add(sup: Supernatural):
@@ -239,7 +240,7 @@ def _top_wedge_characteristic(s: Summands) -> Supernatural:
     for tc in s.types:
         add(tc.representative)
     for t in s.towers:
-        top = wedge_power_tower(t, t.rank)
+        top = _top_wedge(t)
         add(characteristic(top, unit_element(top)))
     return Supernatural.of(total)
 

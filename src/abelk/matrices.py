@@ -373,5 +373,48 @@ def compound_matrix(a: IntMatrix, k: int) -> IntMatrix:
         for rs in itertools.combinations(a.entries, k)))
 
 
+def compound_matrices(a: IntMatrix) -> list[IntMatrix]:
+    """compound_matrix(a, k) for every k = 0..min(rows, cols), in one pass.
+
+    Each order-k minor is expanded along the first row r0 of its row set R:
+    minor(R, C) = sum_j (-1)^j a[r0][c_j] minor(R - r0, C - c_j), read from
+    the order-(k-1) layer, so it costs k products instead of a Bareiss
+    elimination.  Reaching one high order this way builds every layer
+    below it, so a single order goes through compound_matrix instead.
+    """
+    out = [IntMatrix.identity(1)]
+    prev: list[tuple[int, ...]] = [(1,)]
+    prev_rows: dict[tuple[int, ...], int] = {(): 0}
+    prev_cols: dict[tuple[int, ...], int] = {(): 0}
+    for k in range(1, min(a.rows, a.cols) + 1):
+        row_sets = list(itertools.combinations(range(a.rows), k))
+        col_sets = list(itertools.combinations(range(a.cols), k))
+        # per column set C: (c_j, index of C - c_j in the previous layer,
+        # sign of the cofactor)
+        plans = [tuple((c, prev_cols[cs[:j] + cs[j + 1:]], -1 if j % 2 else 1)
+                       for j, c in enumerate(cs))
+                 for cs in col_sets]
+        layer = []
+        for rs in row_sets:
+            top = a.entries[rs[0]]
+            sub = prev[prev_rows[rs[1:]]]
+            layer.append(tuple(
+                sum(sg * top[c] * sub[i] for c, i, sg in plan if top[c])
+                for plan in plans))
+        out.append(IntMatrix(tuple(layer)))
+        prev = layer
+        prev_rows = {rs: i for i, rs in enumerate(row_sets)}
+        prev_cols = {cs: i for i, cs in enumerate(col_sets)}
+    return out
+
+
+def compound_determinant(det_a: int, n: int, k: int) -> int:
+    """det(compound_matrix(a, k)) for an n x n matrix a with det(a) == det_a,
+    by the Sylvester-Franke theorem: det(a)^C(n-1, k-1), and 1 for k == 0."""
+    if not 0 <= k <= n:
+        raise ValueError(f"compound order {k} out of range for size {n}")
+    return det_a ** math.comb(n - 1, k - 1) if k else 1
+
+
 def binomial(n: int, k: int) -> int:
     return math.comb(n, k)

@@ -128,17 +128,38 @@ class Tower:
 
     def period_product(self) -> IntMatrix:
         """Composite of one full period (identity when the period is empty)."""
+        return self._period_product
+
+    # Per-object caches: cached_property stores into the instance dict,
+    # which a frozen dataclass leaves writable and keeps out of ==/hash.
+    @functools.cached_property
+    def _period_product(self) -> IntMatrix:
         m = IntMatrix.identity(self.rank)
         for q in self.period:
             m = q @ m
         return m
 
+    @functools.cached_property
+    def connecting_dets(self) -> tuple[int, ...]:
+        """Determinants of the prefix matrices, then of the period
+        matrices, computed once per tower.  Towers built from others
+        (exterior powers, tensor products) get them derived instead."""
+        return tuple(m.det() for m in self.prefix + self.period)
+
     def determinant_primes(self) -> frozenset[int]:
         """Primes dividing any connecting-matrix determinant."""
         primes: set[int] = set()
-        for m in self.prefix + self.period:
-            primes.update(factorize(m.det()))
+        for d in self.connecting_dets:
+            primes.update(factorize(d))
         return frozenset(primes)
+
+
+def _with_connecting_dets(t: Tower, dets) -> Tower:
+    """t, with its connecting determinants set to dets (prefix then
+    period) instead of computed; dets must be exactly what
+    t.connecting_dets would compute."""
+    t.__dict__["connecting_dets"] = tuple(dets)
+    return t
 
 
 @dataclass(frozen=True)
@@ -159,13 +180,19 @@ def validate_tower(t: Tower) -> list[str]:
     if t.rank < 1:
         defects.append(f"rank must be >= 1, got {t.rank}")
         return defects
-    for kind, mats in (("prefix", t.prefix), ("period", t.period)):
-        for i, m in enumerate(mats):
-            if m.rows != t.rank or m.cols != t.rank:
-                defects.append(f"{kind}[{i}] is {m.rows}x{m.cols}, "
-                               f"expected {t.rank}x{t.rank}")
-            elif m.det() == 0:
-                defects.append(f"{kind}[{i}] is singular")
+    mats = t.prefix + t.period
+    shaped = [m.rows == t.rank and m.cols == t.rank for m in mats]
+    # the cached determinants only when all of them exist
+    dets = (t.connecting_dets if all(shaped)
+            else [m.det() if ok else None for m, ok in zip(mats, shaped)])
+    for i, (m, d) in enumerate(zip(mats, dets)):
+        kind, j = (("prefix", i) if i < len(t.prefix)
+                   else ("period", i - len(t.prefix)))
+        if d is None:
+            defects.append(f"{kind}[{j}] is {m.rows}x{m.cols}, "
+                           f"expected {t.rank}x{t.rank}")
+        elif d == 0:
+            defects.append(f"{kind}[{j}] is singular")
     return defects
 
 
@@ -451,6 +478,16 @@ def _stagewise(towers, combine) -> Tower:
     return Tower(maps[0].rows, tuple(maps[:a]), tuple(maps[a:]))
 
 
+def _stage_det(t: Tower, s: int) -> int:
+    """det(t.stage_matrix(s)), from the cached connecting determinants."""
+    a = len(t.prefix)
+    if s < a:
+        return t.connecting_dets[s]
+    if not t.period:
+        return 1
+    return t.connecting_dets[a + (s - a) % len(t.period)]
+
+
 def direct_sum_towers(towers) -> Tower:
     """Block-diagonal tower presenting the direct sum of the summands."""
     towers = list(towers)
@@ -477,7 +514,12 @@ def tensor_towers(towers) -> Tower:
         return Tower.free(1)
     if len(nontrivial) == 1:
         return nontrivial[0]
-    return _stagewise(nontrivial, IntMatrix.kron)
+    t = _stagewise(nontrivial, IntMatrix.kron)
+    # det(A (x) B) = det(A)^rank(B) * det(B)^rank(A), for any number of
+    # factors: each determinant to the product of the other ranks
+    return _with_connecting_dets(t, (
+        math.prod(_stage_det(f, s) ** (t.rank // f.rank) for f in nontrivial)
+        for s in range(len(t.prefix) + len(t.period))))
 
 
 def _reduce(m: IntMatrix, n: int) -> IntMatrix:

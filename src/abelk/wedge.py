@@ -1,10 +1,16 @@
 """Exterior powers of towers and K-groups of abelian group C*-algebras.
 
-K1 of the group C*-algebra of a countable abelian group is the direct sum of
-the odd exterior powers of its torsion-free quotient; K0 is the direct sum
-of the even ones (the torsion part contributes nothing beyond a single Z in
-degree zero).  Exterior powers commute with direct limits, so the wedge of a
-tower is the tower of compound matrices.
+For a torsion-free abelian group F, K1 of C*(F) is the direct sum of the
+odd exterior powers of F and K0 the direct sum of the even ones.  k1 and
+k0 compute these groups for the torsion-free quotient F of the group
+described: its torsion part T is discarded.  For T nonzero that is not
+the K-theory of C*(T (+) F) = C(T^) (x) C*(F), whose K-groups are
+C(T^, Z) (x) the even or odd exterior powers of F by the Kuenneth theorem
+(ROADMAP item 4).  Exterior powers commute with direct limits, so the
+wedge of a tower is the tower of compound matrices.  A K-group builds
+every exterior power of each summand tower once, from one all-orders
+compound pass per connecting matrix, and derives the determinants of the
+compounds instead of computing them.
 """
 
 from __future__ import annotations
@@ -12,21 +18,50 @@ from __future__ import annotations
 import itertools
 import math
 
-from .matrices import IntMatrix, binomial, compound_matrix
+from .matrices import (IntMatrix, binomial, compound_determinant,
+                       compound_matrices, compound_matrix)
 from .groups import (AbGroupDesc, FreeOfRank, FreePart, KGroupDesc,
                      Rank1, TowerForm, direct_sum_of, flatten,
                      summand_towers)
-from .towers import (Tower, TypeClass, is_divisible, stable_period_power,
-                     tensor_towers, tower_type, unit_element)
+from .towers import (Tower, TypeClass, _with_connecting_dets, is_divisible,
+                     stable_period_power, tensor_towers, tower_type,
+                     unit_element)
+
+
+def _wedge_tower(t: Tower, k: int, prefix, period) -> Tower:
+    """The k-th exterior power of t from its compound matrices, with the
+    connecting determinants det^C(rank - 1, k - 1) (Sylvester-Franke)."""
+    return _with_connecting_dets(
+        Tower(binomial(t.rank, k), tuple(prefix), tuple(period)),
+        (compound_determinant(d, t.rank, k) for d in t.connecting_dets))
 
 
 def wedge_power_tower(t: Tower, k: int) -> Tower:
     """Tower of the k-th exterior power: compound matrices stage by stage."""
     if not 0 <= k <= t.rank:
         raise ValueError(f"wedge power {k} out of range for rank {t.rank}")
-    return Tower(binomial(t.rank, k),
-                 tuple(compound_matrix(m, k) for m in t.prefix),
-                 tuple(compound_matrix(m, k) for m in t.period))
+    return _wedge_tower(t, k, (compound_matrix(m, k) for m in t.prefix),
+                        (compound_matrix(m, k) for m in t.period))
+
+
+def _wedge_towers(t: Tower) -> list[Tower]:
+    """wedge_power_tower(t, k) for every k = 0..rank, from one all-orders
+    compound pass per connecting matrix."""
+    pre = [compound_matrices(m) for m in t.prefix]
+    per = [compound_matrices(m) for m in t.period]
+    return [_wedge_tower(t, k, (c[k] for c in pre), (c[k] for c in per))
+            for k in range(t.rank + 1)]
+
+
+def _top_wedge(t: Tower) -> Tower:
+    """wedge_power_tower(t, t.rank) without a compound: the rank-1 tower
+    of the connecting determinants."""
+    def one_by_one(dets):
+        return tuple(IntMatrix(((d,),)) for d in dets)
+
+    a, dets = len(t.prefix), t.connecting_dets
+    return _with_connecting_dets(
+        Tower(1, one_by_one(dets[:a]), one_by_one(dets[a:])), dets)
 
 
 def _is_trivial_tower(t: Tower) -> bool:
@@ -52,14 +87,14 @@ def _odd_even_sum(f: FreePart, parity: int) -> KGroupDesc:
             towers.append(t)
     out_free = 0
     out_parts: list[FreePart] = []
+    powers = [_wedge_towers(t) for t in towers]
     ranges = [range(t.rank + 1) for t in towers]
     for a in range(free_rank + 1):
         for degrees in itertools.product(*ranges):
             if (a + sum(degrees)) % 2 != parity:
                 continue
             copies = binomial(free_rank, a)
-            factors = [wedge_power_tower(t, d)
-                       for t, d in zip(towers, degrees) if d >= 1]
+            factors = [w[d] for w, d in zip(powers, degrees) if d >= 1]
             if not factors:
                 out_free += copies
                 continue
@@ -114,7 +149,7 @@ def wedge_square_type(t: Tower) -> TypeClass:
     characteristic driven by the running product of connecting determinants."""
     if t.rank != 2:
         raise ValueError("wedge_square_type requires a rank-2 tower")
-    return tower_type(wedge_power_tower(t, 2))
+    return tower_type(_top_wedge(t))
 
 
 def _congruence_pair_solvable(c1: int, d1: int, c2: int, d2: int,

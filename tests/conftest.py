@@ -2,9 +2,11 @@
 
 import random
 
-from abelk import (DimensionMismatchError, GroupElement, IntMatrix,
-                   SingularWitnessError, Tower, direct_sum_towers,
-                   membership, push_to_stage, rational_inverse)
+from abelk import (INF, DimensionMismatchError, GroupElement, IntMatrix,
+                   SingularWitnessError, Supernatural, Tower,
+                   characteristic, compound_matrix, direct_sum_towers,
+                   membership, push_to_stage, rational_inverse,
+                   unit_element)
 from abelk.groups import summand_towers
 
 
@@ -133,3 +135,24 @@ def naive_check_witness(w) -> bool:
                 if membership(other, image) is None:
                     return False
     return True
+
+
+def naive_top_wedge_characteristic(s) -> Supernatural:
+    """Characteristic of the top exterior power of the flattened sum s by
+    the full-order route: each tower summand's top wedge is the tower of
+    its full-order compound matrices, and its characteristic is computed
+    from scratch (determinants included)."""
+    total: dict = {}
+
+    def add(sup):
+        for p, e in sup.items:
+            cur = total.get(p, 0)
+            total[p] = INF if INF in (cur, e) else cur + e
+
+    for tc in s.types:
+        add(tc.representative)
+    for t in s.towers:
+        top = Tower(1, tuple(compound_matrix(m, t.rank) for m in t.prefix),
+                    tuple(compound_matrix(m, t.rank) for m in t.period))
+        add(characteristic(top, unit_element(top)))
+    return Supernatural.of(total)

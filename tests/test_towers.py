@@ -40,6 +40,41 @@ class TestValidation:
     def test_bad_rank(self):
         assert validate_tower(Tower(0)) != []
 
+    def test_every_defect_in_order(self):
+        t = Tower(2, (IntMatrix.from_rows([[1, 1], [2, 2]]),),
+                  (IntMatrix.identity(3), IntMatrix.from_rows([[0, 1], [0, 2]])))
+        assert validate_tower(t) == ["prefix[0] is singular",
+                                     "period[0] is 3x3, expected 2x2",
+                                     "period[1] is singular"]
+
+
+class TestPerTowerCaches:
+    def test_period_product_built_once(self, monkeypatch):
+        rng = random.Random(89)
+        t = Tower(3, (), tuple(IntMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+            for _ in range(3)))
+        q = t.period_product()
+        calls = []
+        matmul = IntMatrix.__matmul__
+        monkeypatch.setattr(IntMatrix, "__matmul__",
+                            lambda a, b: calls.append(1) or matmul(a, b))
+        assert t.period_product() is q
+        assert calls == []
+        # the caches are no field: equality and hashing ignore them
+        fresh = Tower(t.rank, t.prefix, t.period)
+        assert fresh == t and hash(fresh) == hash(t)
+
+    def test_tensor_determinants_are_derived(self):
+        rng = random.Random(97)
+        for _ in range(20):
+            factors = [rand_tower(rng, rng.randint(1, 3), 2, 2)
+                       for _ in range(rng.randint(2, 3))]
+            t = tensor_towers(factors)
+            fresh = Tower(t.rank, t.prefix, t.period)
+            assert t.connecting_dets == fresh.connecting_dets
+            assert t.determinant_primes() == fresh.determinant_primes()
+
 
 class TestPush:
     def test_push_by_zero(self):

@@ -7,12 +7,14 @@ import pytest
 
 from abelk import (AbGroupDesc, FgAbGroup, FreeOfRank, GroupElement, INF,
                    IntMatrix, Rank1, Supernatural, TorsionDesc, Tower,
-                   TowerForm, TypeClass, direct_sum_of, is_divisible, k0, k1,
-                   wedge_divisible_by_search, wedge_power_tower,
-                   wedge_square_type, wedge_unit_divisible)
-from abelk.groups import flatten
+                   TowerForm, TypeClass, compare_k1, direct_sum_of,
+                   is_divisible, k0, k1, wedge_divisible_by_search,
+                   wedge_power_tower, wedge_square_type, wedge_unit_divisible)
+from abelk import compare, wedge
+from abelk.groups import flatten, summand_towers
 
-from conftest import rand_tower
+from conftest import (naive_top_wedge_characteristic, rand_nonsingular,
+                      rand_tower, unimodular_pair)
 
 
 class TestWedgePowerTower:
@@ -37,6 +39,94 @@ class TestWedgePowerTower:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             wedge_power_tower(Tower.free(2), 3)
+
+
+def sum_of_ranks_3_3_2(seed: int, conjugate=False) -> AbGroupDesc:
+    """Random towers of ranks 3, 3 and 2 with prefix and period matrices;
+    with conjugate, the first one is replaced by a unimodular conjugate
+    (the same towers for the same seed)."""
+    rng = random.Random(seed)
+
+    def mat(n):
+        return rand_nonsingular(rng, n, -3, 3)
+
+    towers = [Tower(3, (mat(3),), (mat(3),)), Tower(3, (), (mat(3), mat(3))),
+              Tower(2, (mat(2),), (mat(2), mat(2)))]
+    if conjugate:
+        u, v = unimodular_pair(rng, 3)
+        t = towers[0]
+        towers[0] = Tower(3, tuple(u @ m @ v for m in t.prefix),
+                          tuple(u @ m @ v for m in t.period))
+    return AbGroupDesc.torsion_free(
+        direct_sum_of([TowerForm(t) for t in towers]))
+
+
+class TestWorkDone:
+    """k1, k0 and compare_k1 build each exterior power once and take no
+    determinant of a compound or tensor matrix."""
+
+    def test_one_all_orders_pass_per_connecting_matrix(self, monkeypatch):
+        g = sum_of_ranks_3_3_2(71)
+        seen = []
+        kernel = wedge.compound_matrices
+
+        def counted(m):
+            seen.append(m)
+            return kernel(m)
+
+        def refused(*args):
+            raise AssertionError("single-order compound in a K-group")
+
+        monkeypatch.setattr(wedge, "compound_matrices", counted)
+        monkeypatch.setattr(wedge, "compound_matrix", refused)
+        mats = [m for t in summand_towers(g.free) for m in t.prefix + t.period]
+        for kgroup in (k1, k0):
+            seen.clear()
+            kgroup(g)
+            assert seen == mats
+
+    def test_no_determinant_beyond_the_base_rank(self, monkeypatch):
+        sizes = []
+        det = IntMatrix.det
+
+        def recorded(self):
+            sizes.append(self.rows)
+            return det(self)
+
+        monkeypatch.setattr(IntMatrix, "det", recorded)
+        g, h = sum_of_ranks_3_3_2(73), sum_of_ranks_3_3_2(73, conjugate=True)
+        assert compare_k1(g, g).verdict == "isomorphic"
+        # conjugate, not equal: p-ranks and the top wedge are computed
+        assert compare_k1(g, h).verdict == "unknown"
+        k0(g)
+        assert sizes and max(sizes) <= 3
+
+    def test_top_wedge_against_full_order_compounds(self):
+        rng = random.Random(79)
+        sums = [flatten(k1(sum_of_ranks_3_3_2(79))),
+                flatten(k0(sum_of_ranks_3_3_2(79, conjugate=True)))]
+        for _ in range(30):
+            parts = [TowerForm(rand_tower(rng, rng.randint(2, 4), 2, 2))
+                     for _ in range(rng.randint(1, 2))]
+            parts.append(Rank1(rand_tower(rng, 1, 1, 1)))
+            sums.append(flatten(direct_sum_of(parts)))
+        for s in sums:
+            assert (compare._top_wedge_characteristic(s)
+                    == naive_top_wedge_characteristic(s))
+
+    def test_wedge_tower_determinants_are_derived(self):
+        rng = random.Random(83)
+        for _ in range(10):
+            t = rand_tower(rng, rng.randint(1, 4), 2, 2)
+            for k in range(t.rank + 1):
+                w = wedge_power_tower(t, k)
+                fresh = Tower(w.rank, w.prefix, w.period)
+                assert w.connecting_dets == fresh.connecting_dets
+            for k, w in enumerate(wedge._wedge_towers(t)):
+                assert w == wedge_power_tower(t, k)
+                assert w.connecting_dets == wedge_power_tower(
+                    t, k).connecting_dets
+            assert wedge._top_wedge(t) == wedge_power_tower(t, t.rank)
 
 
 class TestK1:
