@@ -8,6 +8,7 @@ bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -107,7 +108,11 @@ def _parse_coords(text: str, rank: int):
     return coords
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls (each call gets a fresh namespace, and an appended
+    option starts from a copy of its default)."""
     ap = argparse.ArgumentParser(
         prog="abelk",
         description="Exact invariants of abelian group C*-algebras")

@@ -67,12 +67,6 @@ class Witness:
     name: str = "witness"
 
 
-def _combined_tower(towers: list[Tower], copies: int) -> Tower:
-    """The tower of copies of the direct sum of towers."""
-    towers = towers * copies
-    return direct_sum_towers(towers) if len(towers) > 1 else towers[0]
-
-
 def _reduced(rows, d: int) -> tuple[list[tuple[int, ...]], int]:
     """The integer rows over the denominator d, with the common factor of
     d and every entry divided out."""
@@ -141,8 +135,8 @@ def check_witness(w: Witness) -> bool:
         b, e = integer_inverse(a)
     except SingularMatrixError:
         raise SingularWitnessError("witness map is singular") from None
-    src = _combined_tower(src_towers, copies)
-    dst = _combined_tower(dst_towers, copies)
+    src = direct_sum_towers(src_towers * copies)
+    dst = direct_sum_towers(dst_towers * copies)
     # (a / den)^-1 = den * b / e
     inv = _reduced([tuple(den * x for x in row) for row in b.entries], e)
     return (_maps_lattices_into(src, dst, a.entries, den)

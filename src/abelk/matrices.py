@@ -1,9 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra, and rational matrices as parsed.
 
-Matrices are immutable and all arithmetic is exact: integer matrices use
-Python's arbitrary-precision ints, rational matrices use Fraction entries
-kept in lowest terms.  Provides Smith normal form with transform matrices,
-compound (exterior-power) matrices, and exact inverses.
+Integer matrices are immutable and use Python's arbitrary-precision ints.
+Eliminations are fraction-free: determinants and compound minors run
+Bareiss elimination, and one Gauss-Jordan kernel gives exact inverses as
+an integer matrix over a denominator and, in towers, the integer
+coefficients of minimal polynomials.  RatMatrix is a plain container of
+Fraction entries for witness maps as they are read from files; only
+rational_inverse computes with it.  Also provides Smith normal form with
+transform matrices and compound (exterior-power) matrices.
 """
 
 from __future__ import annotations
@@ -116,14 +120,10 @@ class IntMatrix:
         bot = tuple((0,) * self.cols + row for row in other.entries)
         return IntMatrix(top + bot)
 
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(x) for x in row)
-                               for row in self.entries))
-
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense matrix of exact rationals."""
+    """Dense matrix of exact rationals: a container, with no arithmetic."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -133,7 +133,7 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rational()
+        return RatMatrix.from_rows(IntMatrix.identity(n).entries)
 
     @property
     def rows(self) -> int:
@@ -146,45 +146,6 @@ class RatMatrix:
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch {self.cols} vs {other.rows}")
-        ot = tuple(zip(*other.entries))
-        return RatMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries))
-
-    def apply(self, vec) -> tuple[Fraction, ...]:
-        if self.cols != len(vec):
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, vec))
-                     for row in self.entries)
-
-    def det(self) -> Fraction:
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        m = [list(row) for row in self.entries]
-        d = Fraction(1)
-        for i in range(n):
-            pivot = next((r for r in range(i, n) if m[r][i] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != i:
-                m[i], m[pivot] = m[pivot], m[i]
-                d = -d
-            d *= m[i][i]
-            inv = 1 / m[i][i]
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    f = m[r][i] * inv
-                    for c in range(i, n):
-                        m[r][c] -= f * m[i][c]
-        return d
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
 
 
 def rational_inverse(a: RatMatrix) -> RatMatrix:
@@ -212,28 +173,27 @@ def rational_inverse(a: RatMatrix) -> RatMatrix:
     return RatMatrix(tuple(tuple(row[n:]) for row in m))
 
 
-def integer_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
-    """Inverse of an integer matrix as (B, d) with a @ B == d * I, d > 0
-    and no common factor of d and all entries of B: a^-1 = B / d.
+def _gauss_jordan(m: list[list[int]],
+                  cols: int) -> tuple[list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination (the Jordan variant of
+    Bareiss) of the integer rows m, in place.
 
-    Fraction-free Gauss-Jordan (the Jordan variant of Bareiss): every
-    division by the previous pivot is exact, the left block ends as
-    +-det(a) * I and the right block as the same multiple of a^-1.
-    Raises SingularMatrixError when det(a) == 0.
+    Pivots on columns 0, 1, ... in turn, clearing each pivot column above
+    and below its pivot, and stops at the first column c < cols with no
+    nonzero entry at or below row c.  Every division by the previous
+    pivot is exact.  Returns the c pivot rows and the last pivot d (1 when
+    c == 0).  The pivot rows begin with d times the c x c identity.  A
+    column c where the kernel stops is a combination of the pivot
+    columns, and its entries in the pivot rows are d times the
+    coefficients (Cramer's rule).
     """
-    n = a.rows
-    if n != a.cols:
-        raise ValueError("inverse of non-square matrix")
-    m = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a.entries)]
-    width = 2 * n
+    n = len(m)
     prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            m[k], m[pivot] = m[pivot], m[k]
+    for k in range(cols):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return m[:k], prev
+        m[k], m[pivot] = m[pivot], m[k]
         pk = m[k]
         akk = pk[k]
         for i in range(n):
@@ -241,14 +201,31 @@ def integer_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
                 continue
             ri = m[i]
             aik = ri[k]
-            for j in range(width):
+            for j in range(len(ri)):
                 ri[j] = (ri[j] * akk - aik * pk[j]) // prev
         prev = akk
-    d = m[0][0]
-    g = math.gcd(d, *(x for row in m for x in row[n:]))
+    return m[:cols], prev
+
+
+def integer_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
+    """Inverse of an integer matrix as (B, d) with a @ B == d * I, d > 0
+    and no common factor of d and all entries of B: a^-1 = B / d.
+
+    Gauss-Jordan on [a | I]: the left block ends as +-det(a) * I and the
+    right block as the same multiple of a^-1.
+    Raises SingularMatrixError when det(a) == 0.
+    """
+    n = a.rows
+    if n != a.cols:
+        raise ValueError("inverse of non-square matrix")
+    rows, d = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(a.entries)], n)
+    if len(rows) < n:
+        raise SingularMatrixError("matrix is singular")
+    g = math.gcd(d, *(x for row in rows for x in row[n:]))
     if d < 0:
         g = -g
-    inv = IntMatrix(tuple(tuple(x // g for x in row[n:]) for row in m))
+    inv = IntMatrix(tuple(tuple(x // g for x in row[n:]) for row in rows))
     return inv, d // g
 
 

@@ -25,8 +25,14 @@ Divisibility, membership and p-heights are decided exactly:
   p-valuation of the element's coordinates grows without bound iff every
   root of the minimal polynomial of the period product on the element's
   cyclic subspace has positive p-adic valuation, i.e. the polynomial is
-  congruent to a power of x mod p.  The walk bounds no finite height, so
-  it cannot replace this test.
+  congruent to a power of x mod p.  That polynomial divides the monic
+  integer characteristic polynomial, so by Gauss's lemma its
+  coefficients are integers, and the fraction-free Gauss-Jordan kernel
+  behind integer_inverse reads them off the Krylov vectors.  The walk
+  bounds no finite height, so it cannot replace this test.
+
+Everything here runs in integers: rational coordinates enter membership
+as numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -34,9 +40,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _gauss_jordan
 
 INF = float("inf")
 
@@ -241,14 +246,20 @@ def _first_stage_reaching_zero(t: Tower, stage: int, vecs,
 def membership(t: Tower, v) -> GroupElement | None:
     """Element with the given stage-0 rational coordinates, or None.
 
-    v belongs to the limit group iff some stage's transition matrix clears
+    Each coordinate is an exact rational with numerator and denominator
+    attributes, such as an int; any other type raises TypeError.  v
+    belongs to the limit group iff some stage's transition matrix clears
     all denominators.  Returns a representative at the least such stage.
     """
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(v)
     if len(v) != t.rank:
         raise ValueError("coordinate length does not match tower rank")
-    d = math.lcm(*(x.denominator for x in v))
-    w = tuple(int(x * d) for x in v)
+    try:
+        d = math.lcm(*(x.denominator for x in v))
+        w = tuple(x.numerator * (d // x.denominator) for x in v)
+    except AttributeError:
+        raise TypeError(f"coordinates must be exact rationals, got {v!r}"
+                        ) from None
     s = _first_stage_reaching_zero(t, 0, [w], d)
     if s is None:
         return None
@@ -280,47 +291,20 @@ def _min_valuation(vec, p: int):
     return best
 
 
-def _cyclic_min_poly(q: IntMatrix, vec) -> list[Fraction]:
-    """Monic minimal polynomial of q on the cyclic subspace generated by vec.
+def _cyclic_min_poly(q: IntMatrix, vec) -> list[int]:
+    """Monic minimal polynomial of q on the cyclic subspace generated by
+    vec, as integer coefficients [c0, c1, ..., 1] (low to high degree).
 
-    Returned as coefficient list [c0, c1, ..., 1] (low to high degree).
+    One Gauss-Jordan pass over the Krylov columns vec, q vec, ...,
+    q^n vec stops at the first column q^k vec that depends on the ones
+    before it, and holds d times its coefficients in them.
     """
-    n = q.rows
-    krylov: list[tuple[int, ...]] = []
-    cur = tuple(vec)
-    # row-echelon basis over Q with column pivots, to find first dependence
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    raw: list[list[Fraction]] = []
-    while True:
-        residual = [Fraction(x) for x in cur]
-        coeffs = [Fraction(0)] * len(raw)
-        for bi, (brow, piv) in enumerate(zip(basis, pivots)):
-            f = residual[piv] / brow[piv]
-            if f:
-                coeffs[bi] = f
-                residual = [x - f * y for x, y in zip(residual, brow)]
-        piv = next((i for i, x in enumerate(residual) if x != 0), None)
-        if piv is None:
-            # cur = sum coeffs[i] * raw-combination; unwind to krylov coords
-            # basis rows are linear combos of krylov vectors: track alongside
-            combo = [Fraction(0)] * len(krylov)
-            for bi, f in enumerate(coeffs):
-                for j, g in enumerate(raw[bi]):
-                    combo[j] += f * g
-            poly = [-c for c in combo] + [Fraction(1)]
-            return poly
-        krylov.append(cur)
-        basis.append(residual)
-        pivots.append(piv)
-        # raw[bi][j]: coefficient of krylov[j] in basis[bi]
-        newraw = [Fraction(0)] * len(krylov)
-        newraw[-1] = Fraction(1)
-        for bi, f in enumerate(coeffs):
-            for j, g in enumerate(raw[bi]):
-                newraw[j] -= f * g
-        raw.append(newraw)
-        cur = q.apply(cur)
+    krylov = [tuple(vec)]
+    for _ in range(q.rows):
+        krylov.append(q.apply(krylov[-1]))
+    rows, d = _gauss_jordan([list(r) for r in zip(*krylov)], len(krylov))
+    k = len(rows)
+    return [-row[k] // d for row in rows] + [1]
 
 
 def height(t: Tower, e: GroupElement, p: int):
@@ -342,7 +326,7 @@ def height(t: Tower, e: GroupElement, p: int):
     minpoly = _cyclic_min_poly(q, e.coords)
     # every non-leading coefficient divisible by p <=> all roots have
     # positive valuation <=> the valuation grows without bound
-    if all(c.numerator % p == 0 for c in minpoly[:-1]):
+    if all(c % p == 0 for c in minpoly[:-1]):
         return INF
     k = _min_valuation(e.coords, p)
     while _first_stage_reaching_zero(t, s, [e.coords],

@@ -69,6 +69,18 @@ def _is_trivial_tower(t: Tower) -> bool:
     return all(m == ident for m in t.prefix + t.period)
 
 
+def _tensor_of_powers(powers, degrees) -> FreePart:
+    """The tensor product of the exterior powers powers[i][degrees[i]],
+    as a free summand when its tower is trivial."""
+    factors = [w[d] for w, d in zip(powers, degrees) if d >= 1]
+    if not factors:
+        return FreeOfRank(1)
+    summand = factors[0] if len(factors) == 1 else tensor_towers(factors)
+    if _is_trivial_tower(summand):
+        return FreeOfRank(summand.rank)
+    return Rank1(summand) if summand.rank == 1 else TowerForm(summand)
+
+
 def _odd_even_sum(f: FreePart, parity: int) -> KGroupDesc:
     """Direct sum of the exterior powers of f with total degree == parity
     mod 2, computed summand by summand via the binomial expansion of the
@@ -89,22 +101,21 @@ def _odd_even_sum(f: FreePart, parity: int) -> KGroupDesc:
     out_parts: list[FreePart] = []
     powers = [_wedge_towers(t) for t in towers]
     ranges = [range(t.rank + 1) for t in towers]
+    # the tensor product of the exterior powers of each degree tuple,
+    # built once; every free degree a of matching parity reuses it
+    products: dict[tuple[int, ...], FreePart] = {}
     for a in range(free_rank + 1):
         for degrees in itertools.product(*ranges):
             if (a + sum(degrees)) % 2 != parity:
                 continue
             copies = binomial(free_rank, a)
-            factors = [w[d] for w, d in zip(powers, degrees) if d >= 1]
-            if not factors:
-                out_free += copies
-                continue
-            summand = factors[0] if len(factors) == 1 else tensor_towers(factors)
-            if _is_trivial_tower(summand):
-                out_free += copies * summand.rank
+            if degrees not in products:
+                products[degrees] = _tensor_of_powers(powers, degrees)
+            part = products[degrees]
+            if isinstance(part, FreeOfRank):
+                out_free += copies * part.rank
             else:
-                wrapped: FreePart = (Rank1(summand) if summand.rank == 1
-                                     else TowerForm(summand))
-                out_parts.extend([wrapped] * copies)
+                out_parts.extend([part] * copies)
     parts: list[FreePart] = []
     if out_free or not out_parts:
         parts.append(FreeOfRank(out_free))

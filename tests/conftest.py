@@ -1,13 +1,101 @@
 """Shared generators and naive oracles for the test suite."""
 
 import random
+from fractions import Fraction
 
 from abelk import (INF, DimensionMismatchError, GroupElement, IntMatrix,
-                   SingularWitnessError, Supernatural, Tower,
+                   RatMatrix, SingularWitnessError, Supernatural, Tower,
                    characteristic, compound_matrix, direct_sum_towers,
                    membership, push_to_stage, rational_inverse,
                    unit_element)
 from abelk.groups import summand_towers
+
+
+def to_rational(a: IntMatrix) -> RatMatrix:
+    """a with Fraction entries."""
+    return RatMatrix.from_rows(a.entries)
+
+
+def rat_matmul(x: RatMatrix, y: RatMatrix) -> RatMatrix:
+    """Matrix product over Fraction."""
+    if x.cols != y.rows:
+        raise ValueError(f"dimension mismatch {x.cols} vs {y.rows}")
+    yt = tuple(zip(*y.entries))
+    return RatMatrix(tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in yt)
+        for row in x.entries))
+
+
+def rat_apply(m: RatMatrix, vec) -> tuple[Fraction, ...]:
+    """Matrix-vector product over Fraction."""
+    if m.cols != len(vec):
+        raise ValueError("dimension mismatch")
+    return tuple(sum(a * Fraction(b) for a, b in zip(row, vec))
+                 for row in m.entries)
+
+
+def rat_det(m: RatMatrix) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction."""
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    rows = [list(row) for row in m.entries]
+    d = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if rows[r][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            d = -d
+        d *= rows[i][i]
+        inv = 1 / rows[i][i]
+        for r in range(i + 1, n):
+            if rows[r][i] != 0:
+                f = rows[r][i] * inv
+                for c in range(i, n):
+                    rows[r][c] -= f * rows[i][c]
+    return d
+
+
+def fraction_min_poly(q: IntMatrix, vec) -> list[Fraction]:
+    """Monic minimal polynomial of q on the cyclic subspace generated by
+    vec, as coefficients [c0, c1, ..., 1] (low to high degree): the
+    reference echelon over Fraction that finds the first Krylov vector
+    dependent on the ones before it."""
+    krylov: list[tuple[int, ...]] = []
+    cur = tuple(vec)
+    # row-echelon basis over Q with column pivots, to find first dependence
+    basis: list[list[Fraction]] = []
+    pivots: list[int] = []
+    # raw[bi][j]: coefficient of krylov[j] in basis[bi]
+    raw: list[list[Fraction]] = []
+    while True:
+        residual = [Fraction(x) for x in cur]
+        coeffs = [Fraction(0)] * len(raw)
+        for bi, (brow, piv) in enumerate(zip(basis, pivots)):
+            f = residual[piv] / brow[piv]
+            if f:
+                coeffs[bi] = f
+                residual = [x - f * y for x, y in zip(residual, brow)]
+        piv = next((i for i, x in enumerate(residual) if x != 0), None)
+        if piv is None:
+            # cur = sum coeffs[i] * basis[i]: unwind to krylov coords
+            combo = [Fraction(0)] * len(krylov)
+            for bi, f in enumerate(coeffs):
+                for j, g in enumerate(raw[bi]):
+                    combo[j] += f * g
+            return [-c for c in combo] + [Fraction(1)]
+        krylov.append(cur)
+        basis.append(residual)
+        pivots.append(piv)
+        newraw = [Fraction(0)] * len(krylov)
+        newraw[-1] = Fraction(1)
+        for bi, f in enumerate(coeffs):
+            for j, g in enumerate(raw[bi]):
+                newraw[j] -= f * g
+        raw.append(newraw)
+        cur = q.apply(cur)
 
 
 def rand_nonsingular(rng: random.Random, n: int, lo=-9, hi=9) -> IntMatrix:
@@ -26,7 +114,7 @@ def unimodular_pair(rng, n: int) -> tuple[IntMatrix, IntMatrix]:
         e = [[int(r == c) for c in range(n)] for r in range(n)]
         e[i][j] = rng.choice((-2, -1, 1, 2))
         u = IntMatrix.from_rows(e) @ u
-    inv = rational_inverse(u.to_rational())
+    inv = rational_inverse(to_rational(u))
     return u, IntMatrix.from_rows([[int(x) for x in row]
                                    for row in inv.entries])
 
@@ -123,15 +211,15 @@ def naive_check_witness(w) -> bool:
     n = w.map.rows
     if w.map.cols != n or src.rank != n or dst.rank != n:
         raise DimensionMismatchError("dimension mismatch")
-    if w.map.det() == 0:
+    if rat_det(w.map) == 0:
         raise SingularWitnessError("witness map is singular")
     inv = rational_inverse(w.map)
     for tower, other, mat in ((src, dst, w.map), (dst, src, inv)):
         bound = len(tower.prefix) + 2 * max(1, len(tower.period))
         for s in range(bound + 1):
-            gens = rational_inverse(tower.transition(0, s).to_rational())
+            gens = rational_inverse(to_rational(tower.transition(0, s)))
             for j in range(n):
-                image = mat.apply(tuple(row[j] for row in gens.entries))
+                image = rat_apply(mat, tuple(row[j] for row in gens.entries))
                 if membership(other, image) is None:
                     return False
     return True

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import abelk
+from abelk import cli
 from abelk.cli import Report, Verdict, main
 
 PACKAGED_CONFIG = (Path(abelk.__file__).parent / "data"
@@ -93,6 +94,29 @@ class TestCommands:
         assert main(["verify-gallery", "--gallery-config", "none"]) == 0
         out = capsys.readouterr().out
         assert "notice" in out and "0 fail" in out
+
+
+class TestRepeatedCalls:
+    def test_consecutive_calls_share_no_state(self, files, capsys,
+                                              monkeypatch):
+        # one parser serves every call; each call sees only its own options
+        seen = []
+
+        def recorded(args):
+            seen.append((args.format, list(args.witness)))
+            return 0, Report(args.command, (), (), 0.0)
+
+        monkeypatch.setattr(cli, "_run", recorded)
+        p1, p2 = files("g1.grp", G1), files("g2.grp", G2)
+        w1, w2 = files("w1.json", WITNESS), files("w2.json", WITNESS)
+        assert main(["--format", "json", "compare-k1", p1, p2,
+                     "--witness", w1, "--witness", w2]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "compare-k1"
+        assert main(["compare-k1", p1, p2, "--witness", w2]) == 0
+        assert capsys.readouterr().out.startswith("compare-k1")
+        assert main(["compare-k1", p1, p2]) == 0
+        assert seen == [("json", [w1, w2]), ("text", [w2]), ("text", [])]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestExitCodes:

@@ -12,6 +12,8 @@ from abelk.gallery import (FAIL, NOTICE, PASS, SKIPPED, default_pair_config,
 from abelk.groupfile import ParseError
 from abelk.groups import AbGroupDesc
 
+from conftest import rat_det
+
 
 class TestConstruction:
     def test_without_config_omits_pair_entries(self):
@@ -83,7 +85,7 @@ class TestConfig:
         cfg = default_pair_config()
         assert cfg.gamma1.rank == cfg.gamma2.rank == 2
         assert cfg.witness_copies == 2
-        assert abs(cfg.witness_map.det()) == 1
+        assert abs(rat_det(cfg.witness_map)) == 1
 
     def test_load_rejects_garbage(self):
         with pytest.raises(Exception):

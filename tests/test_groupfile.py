@@ -7,6 +7,8 @@ from abelk import (AbGroupDesc, FreeOfRank, ParseError, Rank1, TorsionDesc,
                    parse_witness_file, tower_type)
 from abelk.groups import DirectSum, flatten
 
+from conftest import rat_det
+
 
 class TestParsing:
     def test_free_group(self):
@@ -140,7 +142,7 @@ class TestWitnessFiles:
         w = parse_witness_file(self.TEXT)
         assert w.copies == 2 and w.name == "w"
         assert isinstance(w.src, TowerForm)
-        assert w.map.det() == 1
+        assert rat_det(w.map) == 1
 
     def test_bad_matrix(self):
         with pytest.raises(ParseError, match="square"):

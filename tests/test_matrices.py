@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,7 @@ from abelk import (IntMatrix, RatMatrix, SingularMatrixError,
 from abelk.matrices import (binomial, compound_determinant,
                             compound_matrices)
 
-from conftest import rand_nonsingular
+from conftest import rand_nonsingular, rat_matmul, to_rational
 
 
 def square(n, lo=-9, hi=9):
@@ -45,18 +44,13 @@ class TestRational:
     def test_inverse_roundtrip(self):
         rng = random.Random(1)
         for _ in range(30):
-            a = rand_nonsingular(rng, 4).to_rational()
-            assert rational_inverse(a) @ a == RatMatrix.identity(4)
+            a = to_rational(rand_nonsingular(rng, 4))
+            assert rat_matmul(rational_inverse(a), a) == RatMatrix.identity(4)
 
     def test_inverse_singular_raises(self):
-        a = IntMatrix.from_rows([[1, 2], [2, 4]]).to_rational()
+        a = to_rational(IntMatrix.from_rows([[1, 2], [2, 4]]))
         with pytest.raises(SingularMatrixError):
             rational_inverse(a)
-
-    def test_is_integral(self):
-        assert IntMatrix.identity(3).to_rational().is_integral()
-        half = RatMatrix.from_rows([[Fraction(1, 2)]])
-        assert not half.is_integral()
 
 
 class TestSmithNormalForm:

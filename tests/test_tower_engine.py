@@ -15,8 +15,9 @@ from abelk import towers
 from abelk.towers import is_prime, mod_p_rank
 from abelk.wedge import wedge_power_tower
 
-from conftest import (orbit_first_stage, orbit_first_stage_mod,
-                      rand_nonsingular, rand_tower, unimodular_pair)
+from conftest import (fraction_min_poly, orbit_first_stage,
+                      orbit_first_stage_mod, rand_nonsingular, rand_tower,
+                      rat_apply, to_rational, unimodular_pair)
 
 MODULI = (2, 3, 4, 6, 8, 9, 12, 25, 27, 36)
 
@@ -56,7 +57,7 @@ class TestAgainstOrbitWalk:
                 if s is None:
                     assert got is None, (t, v)
                     continue
-                coords = t.transition(0, s).to_rational().apply(v)
+                coords = rat_apply(to_rational(t.transition(0, s)), v)
                 assert got == GroupElement(s, tuple(int(c) for c in coords)), \
                     (t, v)
 
@@ -186,6 +187,133 @@ class TestModPRank:
                 (t, u, p)
             assert mod_p_rank(tensor_towers([t, u]), p) == rt * ru, \
                 (t, u, p)
+
+
+def min_poly_cases(seed: int, count: int):
+    """(q, vec) with q of rank 1-6: dense, upper triangular, nilpotent
+    (a unimodular conjugate of a strictly upper triangular matrix) or
+    scalar, and vec random, the first basis vector (an eigenvector of a
+    triangular q), the zero vector, or a column of the adjugate of
+    q - lam I, an eigenvector for the eigenvalue lam of a triangular,
+    nilpotent (lam = 0) or scalar q."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        kind = rng.randrange(4)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if kind in (1, 2):
+            rows = [[x if c > r or (c == r and kind == 1) else 0
+                     for c, x in enumerate(row)]
+                    for r, row in enumerate(rows)]
+        if kind == 3:
+            lam = rng.randint(-4, 4)
+            rows = [[lam * (r == c) for c in range(n)] for r in range(n)]
+        q = IntMatrix.from_rows(rows)
+        if kind == 2:
+            u, u_inv = unimodular_pair(rng, n)
+            q = u @ q @ u_inv
+        start = rng.randrange(4)
+        if start == 0:
+            vec = tuple(rng.randint(-9, 9) for _ in range(n))
+        elif start == 1:
+            vec = (1,) + (0,) * (n - 1)
+        elif start == 2:
+            vec = (0,) * n
+        else:
+            # (q - lam I) adj(q - lam I) = det(q - lam I) I = 0 when lam
+            # is an eigenvalue
+            lam = 0 if kind == 2 else q[0, 0]
+            shifted = IntMatrix.from_rows(
+                [[x - lam * (r == c) for c, x in enumerate(row)]
+                 for r, row in enumerate(q.entries)])
+            vec = next((col for col in zip(*_adjugate(shifted).entries)
+                        if any(col)), (1,) + (0,) * (n - 1))
+        yield q, vec
+
+
+def _adjugate(a: IntMatrix) -> IntMatrix:
+    n = a.rows
+    if n == 1:
+        return IntMatrix.identity(1)
+
+    def minor(i, j):
+        return IntMatrix.from_rows(
+            [[x for c, x in enumerate(row) if c != j]
+             for r, row in enumerate(a.entries) if r != i]).det()
+
+    return IntMatrix.from_rows([[(-1) ** (i + j) * minor(j, i)
+                                 for j in range(n)] for i in range(n)])
+
+
+class TestIntegerMinPoly:
+    def test_matches_fraction_oracle(self):
+        for q, vec in min_poly_cases(723, 1500):
+            got = towers._cyclic_min_poly(q, vec)
+            assert all(type(c) is int for c in got), (q, vec)
+            assert got == fraction_min_poly(q, vec), (q, vec)
+
+    def test_annihilates_the_start(self):
+        # sum c_i q^i vec == 0, and vec != 0 needs degree >= 1
+        for q, vec in min_poly_cases(725, 300):
+            poly = towers._cyclic_min_poly(q, vec)
+            total, power = [0] * q.rows, tuple(vec)
+            for c in poly:
+                total = [x + c * y for x, y in zip(total, power)]
+                power = q.apply(power)
+            assert not any(total), (q, vec)
+            assert (len(poly) > 1) == any(vec), (q, vec)
+
+    def test_eigenvector_has_degree_one(self):
+        q = IntMatrix.from_rows([[3, 1, 0], [0, 3, 0], [0, 0, -2]])
+        assert towers._cyclic_min_poly(q, (1, 0, 0)) == [-3, 1]
+        assert towers._cyclic_min_poly(q, (0, 0, 5)) == [2, 1]
+        assert towers._cyclic_min_poly(q, (0, 1, 1)) == [18, -3, -4, 1]
+
+
+class TestHeightOfMultiples:
+    def test_multiplying_by_p_adds_one(self):
+        # p e is 0 mod p yet has finite height whenever e does
+        finite_zero_mod_p = 0
+        for rng, t in random_cases(727, 200):
+            e = random_element(rng, t)
+            if e.is_zero:
+                continue
+            for p in (2, 3, 5):
+                h = height(t, e, p)
+                pe = GroupElement(e.stage, tuple(p * x for x in e.coords))
+                assert height(t, pe, p) == h + 1, (t, e, p)
+                finite_zero_mod_p += h != INF
+        assert finite_zero_mod_p > 100
+
+    def test_infinite_stays_infinite(self):
+        t = Tower(2, (), (IntMatrix.from_rows([[2, 0], [0, 3]]),))
+        for p, coords in ((2, (1, 0)), (3, (0, 1))):
+            e = GroupElement(0, coords)
+            assert height(t, e, p) == INF
+            pe = GroupElement(0, tuple(p * x for x in coords))
+            assert height(t, pe, p) == INF
+        assert height(t, GroupElement(0, (2, 0)), 3) == 0
+        assert height(t, GroupElement(0, (0, 4)), 2) == 2
+
+
+class TestMembershipCoordinates:
+    def test_int_and_fraction_give_the_same_element(self):
+        for rng, t in random_cases(729, 150):
+            w = tuple(rng.randint(-40, 40) for _ in range(t.rank))
+            got = membership(t, w)
+            assert got == GroupElement(0, w)
+            assert membership(t, tuple(Fraction(x) for x in w)) == got
+            m = rng.choice(MODULI)
+            mixed = tuple(Fraction(x, m) if i % 2 else x * m
+                          for i, x in enumerate(w))
+            assert (membership(t, mixed)
+                    == membership(t, tuple(Fraction(x) for x in mixed)))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", "3"])
+    def test_other_types_raise_type_error(self, bad):
+        t = Tower(2, (), (IntMatrix.from_rows([[2, 0], [0, 3]]),))
+        with pytest.raises(TypeError):
+            membership(t, (1, bad))
 
 
 FIB = IntMatrix.from_rows([[0, 1], [1, 1]])

@@ -85,6 +85,30 @@ class TestWorkDone:
             kgroup(g)
             assert seen == mats
 
+    def test_each_tensor_product_once(self, monkeypatch):
+        # Z^2 (+) rank-3 tower (+) rank-2 tower: degrees (1-3, 1-2) give 6
+        # products per K-group, each reached from every free degree of
+        # matching parity (18 products for k1 and k0 together)
+        rng = random.Random(89)
+        g = AbGroupDesc.torsion_free(direct_sum_of([
+            FreeOfRank(2),
+            TowerForm(Tower(3, (rand_nonsingular(rng, 3, -3, 3),),
+                            (rand_nonsingular(rng, 3, -3, 3),))),
+            TowerForm(Tower(2, (), (rand_nonsingular(rng, 2, -3, 3),)))]))
+        built = []
+        tensor = wedge.tensor_towers
+
+        def counted(factors):
+            built.append(tuple(factors))
+            return tensor(factors)
+
+        monkeypatch.setattr(wedge, "tensor_towers", counted)
+        for kgroup in (k1, k0):
+            before = len(built)
+            kgroup(g)
+            assert len(set(built[before:])) == len(built) - before == 6
+        assert len(built) == 12
+
     def test_no_determinant_beyond_the_base_rank(self, monkeypatch):
         sizes = []
         det = IntMatrix.det

@@ -15,7 +15,7 @@ from abelk.matrices import integer_inverse, rational_inverse
 from abelk.towers import _first_stage_reaching_zero
 
 from conftest import (naive_check_witness, orbit_first_stage_mod,
-                      rand_tower, unimodular_pair)
+                      rand_tower, to_rational, unimodular_pair)
 
 
 def outcome(check, w):
@@ -35,7 +35,7 @@ def rand_map(rng: random.Random, u: IntMatrix) -> RatMatrix:
     """u itself, u scaled by p/q, or a random rational matrix."""
     kind = rng.randrange(3)
     if kind == 0:
-        return u.to_rational()
+        return to_rational(u)
     if kind == 1:
         s = Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 7]))
         return RatMatrix.from_rows([[s * x for x in row]
@@ -114,7 +114,7 @@ class TestIntegerInverse:
             if a.det() == 0:
                 continue
             b, d = integer_inverse(a)
-            inv = rational_inverse(a.to_rational())
+            inv = rational_inverse(to_rational(a))
             assert d > 0
             assert all(Fraction(b[i, j], d) == inv[i, j]
                        for i in range(n) for j in range(n))
