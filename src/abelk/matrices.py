@@ -186,6 +186,11 @@ def _gauss_jordan(m: list[list[int]],
     column c where the kernel stops is a combination of the pivot
     columns, and its entries in the pivot rows are d times the
     coefficients (Cramer's rule).
+
+    Left of the pivot column k every row is 0 but for the earlier pivots
+    on the diagonal, and a step only rescales those to the new pivot, so
+    each step updates the columns from k on and writes the new pivot
+    onto that diagonal.
     """
     n = len(m)
     prev = 1
@@ -201,8 +206,10 @@ def _gauss_jordan(m: list[list[int]],
                 continue
             ri = m[i]
             aik = ri[k]
-            for j in range(len(ri)):
+            for j in range(k, len(ri)):
                 ri[j] = (ri[j] * akk - aik * pk[j]) // prev
+            if i < k:
+                ri[i] = akk
         prev = akk
     return m[:cols], prev
 

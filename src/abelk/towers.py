@@ -20,7 +20,9 @@ Divisibility, membership and p-heights are decided exactly:
   power; the wedge divisibility search reads it off.  A p-rank needs no
   power: over F_p the stable image has dimension r minus the multiplicity
   of 0 as an eigenvalue of Q, read off the characteristic polynomial of
-  Q mod p after a Hessenberg reduction;
+  Q mod p after a Hessenberg reduction.  Exterior powers and tensor
+  products take their p-ranks and determinant primes from the towers
+  they are built from (mod_p_rank, Tower.determinant_primes);
 * infinite p-height is detected by a minimal-polynomial criterion: the
   p-valuation of the element's coordinates grows without bound iff every
   root of the minimal polynomial of the period product on the element's
@@ -135,6 +137,13 @@ class Tower:
         """Composite of one full period (identity when the period is empty)."""
         return self._period_product
 
+    # Set by _built_from on a tower built from others (an exterior power,
+    # a tensor product): its p-rank as a function of p, and its
+    # determinant primes as a function of nothing, both read off the
+    # towers it is built from.  Class attributes, not fields.
+    _p_rank_rule = None
+    _primes_rule = None
+
     # Per-object caches: cached_property stores into the instance dict,
     # which a frozen dataclass leaves writable and keeps out of ==/hash.
     @functools.cached_property
@@ -152,18 +161,41 @@ class Tower:
         return tuple(m.det() for m in self.prefix + self.period)
 
     def determinant_primes(self) -> frozenset[int]:
-        """Primes dividing any connecting-matrix determinant."""
+        """Primes dividing any connecting-matrix determinant, found once
+        per tower.
+
+        A tower built from others reads them off its factors instead of
+        factorizing its own determinants: det Lambda^k A is
+        det(A)^C(n-1, k-1) and det(A (x) B) is det(A)^rank B *
+        det(B)^rank A, with every exponent >= 1, so the k-th exterior
+        power (k >= 1) has the primes of its base, the 0-th has none, and
+        a tensor product has the union of its factors' primes.
+        """
+        return self._determinant_primes
+
+    @functools.cached_property
+    def _determinant_primes(self) -> frozenset[int]:
+        if self._primes_rule is not None:
+            return self._primes_rule()
         primes: set[int] = set()
         for d in self.connecting_dets:
             primes.update(factorize(d))
         return frozenset(primes)
 
+    @functools.cached_property
+    def _p_ranks(self) -> dict[int, int]:
+        """prime -> p-rank, filled by mod_p_rank on the direct route."""
+        return {}
 
-def _with_connecting_dets(t: Tower, dets) -> Tower:
-    """t, with its connecting determinants set to dets (prefix then
-    period) instead of computed; dets must be exactly what
-    t.connecting_dets would compute."""
-    t.__dict__["connecting_dets"] = tuple(dets)
+
+def _built_from(t: Tower, dets, p_rank, primes) -> Tower:
+    """t, built from other towers, with what it inherits from them set
+    instead of computed: its connecting determinants dets (prefix then
+    period), p_rank(p) for mod_p_rank and primes() for
+    determinant_primes.  Each must give exactly what t would compute
+    directly."""
+    t.__dict__.update(connecting_dets=tuple(dets), _p_rank_rule=p_rank,
+                      _primes_rule=primes)
     return t
 
 
@@ -485,15 +517,28 @@ def direct_sum_towers(towers) -> Tower:
     return t
 
 
+def _is_trivial_tower(t: Tower) -> bool:
+    """Whether every connecting matrix is the identity.  A connecting
+    determinant other than 1 (-I of odd rank has det -1) settles it from
+    the cached determinants, with no identity matrix built."""
+    if any(d != 1 for d in t.connecting_dets):
+        return False
+    ident = IntMatrix.identity(t.rank)
+    return all(m == ident for m in t.prefix + t.period)
+
+
 def tensor_towers(towers) -> Tower:
-    """Tower of the tensor product: Kronecker products stage by stage."""
+    """Tower of the tensor product: Kronecker products stage by stage.
+
+    The product inherits its connecting determinants, p-ranks and
+    determinant primes from its factors (see _built_from).
+    """
     towers = [t for t in towers]
     if not towers:
         raise ValueError("tensor of no towers")
     # drop trivial rank-1 factors that are identity at every stage
     nontrivial = [t for t in towers
-                  if not (t.rank == 1 and all(m == IntMatrix.identity(1)
-                                              for m in t.prefix + t.period))]
+                  if not (t.rank == 1 and _is_trivial_tower(t))]
     if not nontrivial:
         return Tower.free(1)
     if len(nontrivial) == 1:
@@ -501,9 +546,13 @@ def tensor_towers(towers) -> Tower:
     t = _stagewise(nontrivial, IntMatrix.kron)
     # det(A (x) B) = det(A)^rank(B) * det(B)^rank(A), for any number of
     # factors: each determinant to the product of the other ranks
-    return _with_connecting_dets(t, (
-        math.prod(_stage_det(f, s) ** (t.rank // f.rank) for f in nontrivial)
-        for s in range(len(t.prefix) + len(t.period))))
+    return _built_from(
+        t,
+        (math.prod(_stage_det(f, s) ** (t.rank // f.rank) for f in nontrivial)
+         for s in range(len(t.prefix) + len(t.period))),
+        lambda p: math.prod(mod_p_rank(f, p) for f in nontrivial),
+        lambda: frozenset().union(*(f.determinant_primes()
+                                    for f in nontrivial)))
 
 
 def _reduce(m: IntMatrix, n: int) -> IntMatrix:
@@ -584,7 +633,30 @@ def mod_p_rank(t: Tower, p: int) -> int:
     Fitting's lemma over F_p its dimension is the rank minus the
     multiplicity of 0 as an eigenvalue of Q mod p, the order at x of the
     characteristic polynomial: one Hessenberg reduction, no powers of Q.
+    A tower computes this once per prime and keeps it.
+
+    A tower built from others takes it from them instead, exactly.  The
+    period product of the k-th exterior power is Lambda^k Q (compounds
+    are multiplicative), so its stable image is that of
+    (Lambda^k Q)^N = Lambda^k(Q^N), of dimension C(rank Q^N, k) over F_p:
+    the k-th exterior power has p-rank C(r, k) for the p-rank r of its
+    base.  Likewise (Q1 (x) Q2)^N = Q1^N (x) Q2^N has rank the product of
+    the ranks, so a tensor product has the product of its factors'
+    p-ranks.  Its period starts at the longest prefix and spans the lcm
+    of the period lengths, so each factor enters as a power of a cyclic
+    rotation of its own period product; AB and BA have the same stable
+    rank ((AB)^(N+1) = A (BA)^N B), so that phase shift does not matter.
     """
+    if t._p_rank_rule is not None:
+        return t._p_rank_rule(p)
+    ranks = t._p_ranks
+    if p not in ranks:
+        ranks[p] = _stable_rank_mod_p(t, p)
+    return ranks[p]
+
+
+def _stable_rank_mod_p(t: Tower, p: int) -> int:
+    """mod_p_rank of t from its own period matrices."""
     if not t.period:
         return t.rank
     q = _reduce(t.period[0], p)

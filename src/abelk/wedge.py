@@ -9,8 +9,24 @@ C(T^, Z) (x) the even or odd exterior powers of F by the Kuenneth theorem
 (ROADMAP item 4).  Exterior powers commute with direct limits, so the
 wedge of a tower is the tower of compound matrices.  A K-group builds
 every exterior power of each summand tower once, from one all-orders
-compound pass per connecting matrix, and derives the determinants of the
-compounds instead of computing them.
+compound pass per connecting matrix.
+
+An exterior power or tensor product inherits from the towers it is built
+from the three invariants a comparison reads, none of them computed on a
+compound or Kronecker matrix:
+
+* connecting determinants: det Lambda^k A = det(A)^C(n-1, k-1)
+  (Sylvester-Franke) and det(A (x) B) = det(A)^rank B * det(B)^rank A;
+* p-ranks: C(r, k) for the k-th exterior power of a tower of p-rank r,
+  the product of the factors' p-ranks for a tensor product.  Over F_p the
+  stable image of (Lambda^k Q)^N = Lambda^k(Q^N) has dimension
+  C(rank Q^N, k), and the same holds for Kronecker products with the
+  product of the ranks; see towers.mod_p_rank;
+* determinant primes: those of the base for k >= 1 (none for k == 0),
+  the union of the factors' for a tensor product.
+
+So the Hessenberg kernel of mod_p_rank and factorize only ever see a
+summand tower of the input, at its own rank.
 """
 
 from __future__ import annotations
@@ -23,17 +39,21 @@ from .matrices import (IntMatrix, binomial, compound_determinant,
 from .groups import (AbGroupDesc, FreeOfRank, FreePart, KGroupDesc,
                      Rank1, TowerForm, direct_sum_of, flatten,
                      summand_towers)
-from .towers import (Tower, TypeClass, _with_connecting_dets, is_divisible,
-                     stable_period_power, tensor_towers, tower_type,
-                     unit_element)
+from .towers import (Tower, TypeClass, _built_from, _is_trivial_tower,
+                     is_divisible, mod_p_rank, stable_period_power,
+                     tensor_towers, tower_type, unit_element)
 
 
 def _wedge_tower(t: Tower, k: int, prefix, period) -> Tower:
-    """The k-th exterior power of t from its compound matrices, with the
-    connecting determinants det^C(rank - 1, k - 1) (Sylvester-Franke)."""
-    return _with_connecting_dets(
+    """The k-th exterior power of t from its compound matrices.  It
+    inherits from t the connecting determinants det^C(rank - 1, k - 1)
+    (Sylvester-Franke), the p-ranks C(mod_p_rank(t, p), k) and, for
+    k >= 1, the determinant primes of t (none for k == 0)."""
+    return _built_from(
         Tower(binomial(t.rank, k), tuple(prefix), tuple(period)),
-        (compound_determinant(d, t.rank, k) for d in t.connecting_dets))
+        (compound_determinant(d, t.rank, k) for d in t.connecting_dets),
+        lambda p: binomial(mod_p_rank(t, p), k),
+        t.determinant_primes if k else frozenset)
 
 
 def wedge_power_tower(t: Tower, k: int) -> Tower:
@@ -60,13 +80,7 @@ def _top_wedge(t: Tower) -> Tower:
         return tuple(IntMatrix(((d,),)) for d in dets)
 
     a, dets = len(t.prefix), t.connecting_dets
-    return _with_connecting_dets(
-        Tower(1, one_by_one(dets[:a]), one_by_one(dets[a:])), dets)
-
-
-def _is_trivial_tower(t: Tower) -> bool:
-    ident = IntMatrix.identity(t.rank)
-    return all(m == ident for m in t.prefix + t.period)
+    return _wedge_tower(t, t.rank, one_by_one(dets[:a]), one_by_one(dets[a:]))
 
 
 def _tensor_of_powers(powers, degrees) -> FreePart:

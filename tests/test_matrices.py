@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from abelk import (IntMatrix, RatMatrix, SingularMatrixError,
                    compound_matrix, rational_inverse, smith_normal_form)
-from abelk.matrices import (binomial, compound_determinant,
+from abelk.matrices import (_gauss_jordan, binomial, compound_determinant,
                             compound_matrices)
 
 from conftest import rand_nonsingular, rat_matmul, to_rational
@@ -51,6 +51,71 @@ class TestRational:
         a = to_rational(IntMatrix.from_rows([[1, 2], [2, 4]]))
         with pytest.raises(SingularMatrixError):
             rational_inverse(a)
+
+
+def full_width_gauss_jordan(m, cols):
+    """The fraction-free Gauss-Jordan kernel updating every column of
+    every row at each pivot step: the reference for _gauss_jordan."""
+    n = len(m)
+    prev = 1
+    for k in range(cols):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return m[:k], prev
+        m[k], m[pivot] = m[pivot], m[k]
+        pk = m[k]
+        akk = pk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            ri = m[i]
+            aik = ri[k]
+            for j in range(len(ri)):
+                ri[j] = (ri[j] * akk - aik * pk[j]) // prev
+        prev = akk
+    return m[:cols], prev
+
+
+class TestGaussJordan:
+    """The kernel that skips the columns left of the pivot returns the
+    rows of the one that updates them all."""
+
+    def check(self, a: IntMatrix, cols: int):
+        rows, d = _gauss_jordan([list(r) for r in a.entries], cols)
+        assert (rows, d) == full_width_gauss_jordan(
+            [list(r) for r in a.entries], cols), (a, cols)
+        c = len(rows)
+        # the pivot rows begin with d times the c x c identity
+        assert all(row[:c] == [d * (i == j) for j in range(c)]
+                   for i, row in enumerate(rows)), (a, cols)
+
+    def test_square(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            self.check(rand_matrix(rng, n, n), n)
+
+    def test_augmented_and_rectangular(self):
+        rng = random.Random(8)
+        for _ in range(150):
+            rows, width = rng.randint(1, 7), rng.randint(1, 9)
+            self.check(rand_matrix(rng, rows, width),
+                       rng.randint(0, width))
+
+    def test_rank_deficient(self):
+        rng = random.Random(9)
+        for _ in range(150):
+            n, width = rng.randint(2, 7), rng.randint(2, 9)
+            a = [list(row) for row in rand_matrix(rng, n, width).entries]
+            # a row combination of the others, and sometimes a zero column
+            a[-1] = [sum(rng.randint(-2, 2) * row[j] for row in a[:-1])
+                     for j in range(width)]
+            if rng.random() < 0.5:
+                j = rng.randrange(width)
+                for row in a:
+                    row[j] = 0
+            self.check(IntMatrix.from_rows(a), rng.randint(1, width))
+            self.check(IntMatrix.from_rows(a), min(n, width))
 
 
 class TestSmithNormalForm:

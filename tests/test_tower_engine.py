@@ -13,6 +13,7 @@ from abelk import (GroupElement, INF, IntMatrix, Tower, direct_sum_towers,
                    smith_normal_form, tensor_towers)
 from abelk import towers
 from abelk.towers import is_prime, mod_p_rank
+from abelk import wedge
 from abelk.wedge import wedge_power_tower
 
 from conftest import (fraction_min_poly, orbit_first_stage,
@@ -187,6 +188,78 @@ class TestModPRank:
                 (t, u, p)
             assert mod_p_rank(tensor_towers([t, u]), p) == rt * ru, \
                 (t, u, p)
+
+
+def direct(w: Tower) -> Tower:
+    """w rebuilt from its matrices, carrying nothing derived."""
+    return Tower(w.rank, w.prefix, w.period)
+
+
+def jordan_tower(rng, n: int, p: int, prefix: int, period: int) -> Tower:
+    """A rank-n tower with the given numbers of prefix and period
+    matrices, each period matrix a conjugate of Jordan blocks mod p."""
+    return Tower(n, tuple(rand_nonsingular(rng, n, -3, 3)
+                          for _ in range(prefix)),
+                 tuple(jordan_conjugate(rng, n, p)[0] for _ in range(period)))
+
+
+class TestInheritedInvariants:
+    """The p-ranks and determinant primes that exterior powers and tensor
+    products read off the towers they are built from, against the direct
+    computation on the same matrices."""
+
+    def test_wedge_p_ranks(self):
+        # nilpotent chains mod p, and empty periods
+        for t, p, _ in jordan_towers(731, 80):
+            if t.rank > 6:
+                continue
+            for k, w in enumerate(wedge._wedge_towers(t)):
+                for q in {p, 2, 3}:
+                    assert mod_p_rank(w, q) == mod_p_rank(direct(w), q), \
+                        (t, q, k)
+
+    def test_tensor_p_ranks(self):
+        rng = random.Random(733)
+        for _ in range(60):
+            p, n = rng.choice((2, 3, 5, 7)), rng.randint(2, 3)
+            # every factor with its own prefix and period length
+            shapes = zip(rng.sample(range(3), n), rng.sample(range(4), n))
+            factors = [jordan_tower(rng, rng.randint(1, 3 if n == 2 else 2),
+                                    p, a, b) for a, b in shapes]
+            if n == 2 and rng.random() < 0.5:
+                base = jordan_tower(rng, 4, p, rng.randint(0, 1),
+                                    rng.randint(0, 2))
+                factors[0] = wedge._wedge_towers(base)[rng.randint(1, 3)]
+            t = tensor_towers(factors)
+            assert mod_p_rank(t, p) == mod_p_rank(direct(t), p), (factors, p)
+
+    def test_determinant_primes(self):
+        rng = random.Random(735)
+
+        def small(n):
+            return rand_nonsingular(rng, n, -3, 3)
+
+        for _ in range(40):
+            pair = [Tower(n, tuple(small(n) for _ in range(a)),
+                          tuple(small(n) for _ in range(b)))
+                    for n, a, b in zip((rng.randint(1, 4), rng.randint(1, 3)),
+                                       rng.sample(range(3), 2),
+                                       rng.sample(range(3), 2))]
+            powers = [wedge._wedge_towers(t) for t in pair]
+            for w in powers[0] + powers[1]:
+                assert w.determinant_primes() == direct(w).determinant_primes()
+            j, k = (rng.randint(0, t.rank) for t in pair)
+            t = tensor_towers([powers[0][j], powers[1][k]])
+            assert t.determinant_primes() == direct(t).determinant_primes()
+
+    def test_wedge_p_ranks_against_sympy(self):
+        pytest.importorskip("sympy")
+        for t, p, _ in jordan_towers(737, 30):
+            if t.rank > 5:
+                continue
+            for k, w in enumerate(wedge._wedge_towers(t)):
+                assert mod_p_rank(w, p) == rank_mod_p_by_sympy(w, p), \
+                    (t, p, k)
 
 
 def min_poly_cases(seed: int, count: int):

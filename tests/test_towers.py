@@ -12,7 +12,7 @@ from abelk import (GroupElement, INF, IntMatrix, Supernatural, Tower,
                    membership, push_to_stage, rank1_isomorphic,
                    rank1_tower_from_supernatural, tensor_towers, tower_type,
                    types_equivalent, unit_element, validate_tower)
-from abelk.towers import mod_p_rank
+from abelk.towers import _is_trivial_tower, mod_p_rank
 
 from conftest import (naive_divisible, rand_tower, rat_apply, to_rational,
                       unroll_depth)
@@ -75,6 +75,36 @@ class TestPerTowerCaches:
             fresh = Tower(t.rank, t.prefix, t.period)
             assert t.connecting_dets == fresh.connecting_dets
             assert t.determinant_primes() == fresh.determinant_primes()
+
+
+class TestTrivialTower:
+    def test_a_determinant_other_than_one_settles_it(self, monkeypatch):
+        def refused(n):
+            raise AssertionError("identity matrix built")
+
+        minus = Tower(3, (), (IntMatrix.from_rows(
+            [[-1 if i == j else 0 for j in range(3)] for i in range(3)]),))
+        doubling = Tower(2, (IntMatrix.from_rows([[1, 0], [0, 1]]),),
+                         (IntMatrix.from_rows([[2, 0], [0, 1]]),))
+        monkeypatch.setattr(IntMatrix, "identity", staticmethod(refused))
+        # -I of odd rank has det -1: not trivial, and |det| 1 is not enough
+        assert not _is_trivial_tower(minus)
+        assert not _is_trivial_tower(doubling)
+
+    def test_unit_determinants_compare_matrices(self):
+        minus2 = IntMatrix.from_rows([[-1, 0], [0, -1]])
+        shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+        ident = IntMatrix.identity(2)
+        assert _is_trivial_tower(Tower(2))
+        assert _is_trivial_tower(Tower(2, (ident,), (ident, ident)))
+        assert not _is_trivial_tower(Tower(2, (), (minus2,)))
+        assert not _is_trivial_tower(Tower(2, (ident,), (shear,)))
+
+    def test_tensor_drops_only_identity_rank1_factors(self):
+        t = Tower(2, (), (IntMatrix.from_rows([[2, 1], [1, 3]]),))
+        assert tensor_towers([rank1(prefix=[1], period=[1, 1]), t]) is t
+        negated = tensor_towers([rank1(period=[-1]), t])
+        assert negated.period == (IntMatrix.from_rows([[-2, -1], [-1, -3]]),)
 
 
 class TestPush:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from abelk import (AbGroupDesc, FgAbGroup, FreeOfRank, GroupElement, INF,
                    TowerForm, TypeClass, compare_k1, direct_sum_of,
                    is_divisible, k0, k1, wedge_divisible_by_search,
                    wedge_power_tower, wedge_square_type, wedge_unit_divisible)
-from abelk import compare, wedge
+from abelk import compare, towers, wedge
 from abelk.groups import flatten, summand_towers
 
 from conftest import (naive_top_wedge_characteristic, rand_nonsingular,
@@ -124,6 +125,37 @@ class TestWorkDone:
         assert compare_k1(g, h).verdict == "unknown"
         k0(g)
         assert sizes and max(sizes) <= 3
+
+    def test_p_ranks_from_the_base(self, monkeypatch):
+        g, h = sum_of_ranks_3_3_2(73), sum_of_ranks_3_3_2(73, conjugate=True)
+        charpolys, factored = [], []
+        hessenberg, factorize = towers._hessenberg_charpoly, towers.factorize
+
+        def recorded_charpoly(m, p):
+            charpolys.append((tuple(map(tuple, m)), p))
+            return hessenberg(m, p)
+
+        def recorded_factorize(n):
+            factored.append(abs(n))
+            return factorize(n)
+
+        monkeypatch.setattr(towers, "_hessenberg_charpoly", recorded_charpoly)
+        monkeypatch.setattr(towers, "factorize", recorded_factorize)
+        # conjugate, not equal: the p-rank loop runs
+        assert compare_k1(g, h).verdict == "unknown"
+        assert charpolys and max(len(m) for m, _ in charpolys) <= 3
+        # each charpoly is the period product mod p of a summand tower,
+        # at most once per (summand tower, prime, side)
+        bases = [t for d in (g, h) for t in summand_towers(d.free)]
+        allowed = Counter(
+            (tuple(tuple(x % p for x in row)
+                   for row in t.period_product().entries), p)
+            for t in bases for p in {p for _, p in charpolys})
+        assert not Counter(charpolys) - allowed
+        # only the summand towers' own determinants are factorized (and
+        # the content 1 of a unit element), never a derived power
+        dets = {abs(d) for t in bases for d in t.connecting_dets}
+        assert factored and set(factored) <= dets | {1}
 
     def test_top_wedge_against_full_order_compounds(self):
         rng = random.Random(79)
