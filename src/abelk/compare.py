@@ -12,17 +12,20 @@ separating invariant, and Unknown otherwise.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .fg import Cardinal, torsion_cardinal
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
-                     FreePart, OmegaCopies, Summands, TowerForm,
-                     direct_sum_of, flatten, summand_towers, OMEGA_COPIES)
+                     FreePart, Summands, TowerForm, add_copies,
+                     direct_sum_of, flatten, summand_towers, times_copies,
+                     NO_TOWER_FORM, OMEGA_COPIES)
 from .matrices import (IntMatrix, RatMatrix, SingularMatrixError,
                        integer_inverse)
-from .towers import (INF, Supernatural, Tower, TypeClass,
-                     _first_stage_reaching_zero, characteristic,
-                     direct_sum_towers, mod_p_rank, unit_element)
+from .towers import (INF, ZERO_CHARACTERISTIC, ZERO_TYPE, Supernatural,
+                     Tower, TypeClass, _first_stage_reaching_zero,
+                     characteristic, direct_sum_towers, mod_p_rank,
+                     rank1_tower_from_supernatural, unit_element)
 from .wedge import _top_wedge, k1 as _k1
 
 ISOMORPHIC = "isomorphic"
@@ -117,12 +120,11 @@ def check_witness(w: Witness) -> bool:
     over a denominator, and one residue walk per stage decides all
     generators at once.
     """
-    # copies below 1 count as one copy; the ranks are compared before any
-    # direct sum is built, so an oversized copies count is rejected at once
+    # copies below 1 count as one copy; the ranks come from the counts, so
+    # an oversized count (of the witness or a summand) is rejected at once
     copies = max(w.copies, 1)
-    src_towers, dst_towers = summand_towers(w.src), summand_towers(w.dst)
-    src_rank = copies * sum(t.rank for t in src_towers)
-    dst_rank = copies * sum(t.rank for t in dst_towers)
+    src_rank = copies * flatten(w.src).finite_rank()
+    dst_rank = copies * flatten(w.dst).finite_rank()
     n = w.map.rows
     if w.map.cols != n or src_rank != n or dst_rank != n:
         raise DimensionMismatchError(
@@ -135,8 +137,8 @@ def check_witness(w: Witness) -> bool:
         b, e = integer_inverse(a)
     except SingularMatrixError:
         raise SingularWitnessError("witness map is singular") from None
-    src = direct_sum_towers(src_towers * copies)
-    dst = direct_sum_towers(dst_towers * copies)
+    src = direct_sum_towers(summand_towers(w.src) * copies)
+    dst = direct_sum_towers(summand_towers(w.dst) * copies)
     # (a / den)^-1 = den * b / e
     inv = _reduced([tuple(den * x for x in row) for row in b.entries], e)
     return (_maps_lattices_into(src, dst, a.entries, den)
@@ -154,64 +156,37 @@ class UnitaryInvariant:
 def _type_counts(s: Summands) -> dict[TypeClass, object]:
     """Canonical type -> multiplicity (int or omega) map, the free rank
     counted as copies of the zero type."""
-    from .towers import ZERO_TYPE
     counts: dict[TypeClass, object] = {}
-    for tc in s.types:
-        counts[tc] = counts.get(tc, 0) + 1
+    for sup, c in s.types.items():
+        tc = TypeClass(sup)
+        counts[tc] = add_copies(counts.get(tc, 0), c)
     if s.free_rank:
-        counts[ZERO_TYPE] = counts.get(ZERO_TYPE, 0) + s.free_rank
-    for tc in s.omega_types:
-        counts[tc] = OMEGA_COPIES
+        counts[ZERO_TYPE] = add_copies(counts.get(ZERO_TYPE, 0), s.free_rank)
     return counts
 
 
 def amplify(f: FreePart, alpha: Cardinal) -> FreePart:
-    """The alpha-fold direct sum, in canonical form.
-
-    Finite alpha multiplies multiplicities.  For alpha = omega every present
-    type gets multiplicity omega (free summands count as the zero type) and
-    every tower summand becomes an omega-copies marker, deduplicated
-    structurally.
+    """The alpha-fold direct sum, in canonical form: every multiplicity
+    times alpha.  Free summands are a rank for finite alpha and the zero
+    type with multiplicity omega for alpha = omega.
     """
+    if alpha.value == 1:
+        return f
+    n = OMEGA_COPIES if alpha.is_omega else alpha.value
     s = flatten(f)
-    if not alpha.is_omega:
-        n = alpha.value
-        if n == 1:
-            return f
-        parts: list[FreePart] = []
-        if s.free_rank:
-            parts.append(FreeOfRank(n * s.free_rank))
-        counts: dict[TypeClass, int] = {}
-        for tc in s.types:
-            counts[tc] = counts.get(tc, 0) + 1
-        if counts:
-            parts.append(CompletelyDecomposable(
-                tuple(sorted(((tc, n * c) for tc, c in counts.items()),
-                             key=lambda x: sorted(x[0].representative
-                                                  .infinite_support())))))
-        for t in s.towers:
-            parts.extend([TowerForm(t)] * n)
-        for tc in s.omega_types:
-            parts.append(CompletelyDecomposable(((tc, OMEGA_COPIES),)))
-        for t in s.omega_towers:
-            parts.append(OmegaCopies(t))
-        return direct_sum_of(parts) if parts else FreeOfRank(0)
-    # omega amplification
-    from .towers import ZERO_TYPE
-    types: set[TypeClass] = set(s.types) | set(s.omega_types)
-    if s.free_rank:
-        types.add(ZERO_TYPE)
-    parts = []
+    types = {sup: times_copies(c, n) for sup, c in s.types.items()}
+    parts: list[FreePart] = []
+    if s.free_rank and alpha.is_omega:
+        types[ZERO_CHARACTERISTIC] = OMEGA_COPIES
+    elif s.free_rank:
+        parts.append(FreeOfRank(n * s.free_rank))
     if types:
         parts.append(CompletelyDecomposable(
-            tuple(sorted(((tc, OMEGA_COPIES) for tc in types),
+            tuple(sorted(((TypeClass(sup), c) for sup, c in types.items()),
                          key=lambda x: sorted(x[0].representative
                                               .infinite_support())))))
-    seen: list[Tower] = []
-    for t in list(s.towers) + list(s.omega_towers):
-        if t not in seen:
-            seen.append(t)
-            parts.append(OmegaCopies(t))
+    parts.extend(TowerForm(t, times_copies(c, n))
+                 for t, c in s.towers.items())
     return direct_sum_of(parts) if parts else FreeOfRank(0)
 
 
@@ -222,20 +197,21 @@ def unitary_invariant(d: AbGroupDesc) -> UnitaryInvariant:
 
 def _top_wedge_characteristic(s: Summands) -> Supernatural:
     """Characteristic of the top exterior power of the whole (finite) sum:
-    the tensor of the summands' top wedges, so exponents add.  Each top
-    wedge is the rank-1 tower of its summand's connecting determinants."""
+    the tensor of the summands' top wedges, so exponents add, c times for
+    c copies.  Each top wedge is the rank-1 tower of its summand's
+    connecting determinants, built once per distinct summand."""
     total: dict[int, object] = {}
 
-    def add(sup: Supernatural):
+    def add(sup: Supernatural, c: int):
         for p, e in sup.items:
             cur = total.get(p, 0)
-            total[p] = INF if INF in (cur, e) else cur + e
+            total[p] = INF if INF in (cur, e) else cur + c * e
 
-    for tc in s.types:
-        add(tc.representative)
-    for t in s.towers:
+    for sup, c in s.types.items():
+        add(sup, c)
+    for t, c in s.towers.items():
         top = _top_wedge(t)
-        add(characteristic(top, unit_element(top)))
+        add(characteristic(top, unit_element(top)), c)
     return Supernatural.of(total)
 
 
@@ -244,30 +220,31 @@ def _relevant_primes(*summands: Summands) -> set[int]:
     for s in summands:
         for t in s.towers:
             primes.update(t.determinant_primes())
-        for tc in s.types:
-            primes.update(tc.representative.infinite_support())
+        for sup in s.types:
+            primes.update(sup.infinite_support())
     return primes
 
 
 def _p_rank(s: Summands, p: int) -> int:
     rank = s.free_rank
-    rank += sum(0 if p in tc.representative.infinite_support() else 1
-                for tc in s.types)
-    rank += sum(mod_p_rank(t, p) for t in s.towers)
+    rank += sum(c for sup, c in s.types.items()
+                if p not in sup.infinite_support())
+    rank += sum(c * mod_p_rank(t, p) for t, c in s.towers.items())
     return rank
 
 
-def _remove_multiset(pool: list[Tower], items: list[Tower]) -> bool:
-    """Structurally remove items from pool; False (pool untouched) if any
-    item is missing."""
-    trial = list(pool)
-    for it in items:
-        if it in trial:
-            trial.remove(it)
-        else:
-            return False
-    pool[:] = trial
-    return True
+def _tower_multiset(f: FreePart, copies: int) -> Counter:
+    """summand_towers(f) * copies, counted instead of listed: copies below
+    1 give the empty multiset, as a list repeated fewer than once does."""
+    s = flatten(f)
+    if s.has_omega:
+        raise ValueError(NO_TOWER_FORM)
+    out = Counter({rank1_tower_from_supernatural(sup): c
+                   for sup, c in s.types.items()})
+    out.update(s.towers)
+    if s.free_rank:
+        out[Tower.free(s.free_rank)] += 1
+    return Counter({t: c * max(copies, 0) for t, c in out.items()})
 
 
 def _format_counts(counts: dict) -> str:
@@ -280,6 +257,7 @@ def _format_counts(counts: dict) -> str:
 def compare_free_parts(f1: FreePart, f2: FreePart,
                        witnesses=()) -> Verdict:
     s1, s2 = flatten(f1), flatten(f2)
+    c1, c2 = _type_counts(s1), _type_counts(s2)
 
     if s1.has_omega or s2.has_omega:
         if s1.has_omega != s2.has_omega:
@@ -287,8 +265,7 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
             return Verdict(
                 "verdict", NOT_ISOMORPHIC,
                 f"rank: finite ({fin}) vs countably infinite")
-        if not (s1.towers or s2.towers or s1.omega_towers or s2.omega_towers):
-            c1, c2 = _type_counts(s1), _type_counts(s2)
+        if not (s1.towers or s2.towers):
             if c1 == c2:
                 return Verdict(
                     "verdict", ISOMORPHIC,
@@ -297,9 +274,7 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
             return Verdict(
                 "verdict", NOT_ISOMORPHIC,
                 f"type multiset {_format_counts(c1)} vs {_format_counts(c2)}")
-        if (sorted(s1.omega_towers, key=repr) == sorted(s2.omega_towers, key=repr)
-                and sorted(s1.towers, key=repr) == sorted(s2.towers, key=repr)
-                and _type_counts(s1) == _type_counts(s2)):
+        if s1.towers == s2.towers and c1 == c2:
             return Verdict(
                 "verdict", ISOMORPHIC,
                 "structurally identical omega-amplified summands")
@@ -317,7 +292,6 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
         return Verdict("verdict", NOT_ISOMORPHIC, f"{label} {r1} vs {r2}")
 
     if decidable:
-        c1, c2 = _type_counts(s1), _type_counts(s2)
         if c1 == c2:
             return Verdict(
                 "verdict", ISOMORPHIC,
@@ -327,32 +301,27 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
             f"type multiset {_format_counts(c1)} vs {_format_counts(c2)}")
 
     # towers of rank >= 2 present: attempt a certified summand matching
-    pool1, pool2 = list(s1.towers), list(s2.towers)
+    pool1, pool2 = Counter(s1.towers), Counter(s2.towers)
     used = []
     for w in witnesses:
-        src = summand_towers(w.src) * w.copies
-        dst = summand_towers(w.dst) * w.copies
+        src = _tower_multiset(w.src, w.copies)
+        dst = _tower_multiset(w.dst, w.copies)
         for a, b in ((src, dst), (dst, src)):
-            trial1, trial2 = list(pool1), list(pool2)
-            if _remove_multiset(trial1, a) and _remove_multiset(trial2, b):
+            if a <= pool1 and b <= pool2:
                 # both orientations check the same map: check it once
                 if check_witness(w):
-                    pool1, pool2 = trial1, trial2
+                    pool1, pool2 = pool1 - a, pool2 - b
                     used.append(w.name)
                 break
     # structural cancellation of identical presentations
-    for t in list(pool1):
-        if t in pool2:
-            pool1.remove(t)
-            pool2.remove(t)
-    if not pool1 and not pool2:
-        c1, c2 = _type_counts(s1), _type_counts(s2)
-        if c1 == c2:
-            via = f" via witnesses [{', '.join(used)}]" if used else ""
-            return Verdict(
-                "verdict", ISOMORPHIC,
-                "summand-wise matching: towers matched" + via
-                + ", remaining type multisets equal")
+    common = pool1 & pool2
+    pool1, pool2 = pool1 - common, pool2 - common
+    if not pool1 and not pool2 and c1 == c2:
+        via = f" via witnesses [{', '.join(used)}]" if used else ""
+        return Verdict(
+            "verdict", ISOMORPHIC,
+            "summand-wise matching: towers matched" + via
+            + ", remaining type multisets equal")
 
     # separating invariants computed on the full groups
     for p in sorted(_relevant_primes(s1, s2)):
@@ -369,9 +338,9 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
             f"{TypeClass(top2)}")
     return Verdict(
         "verdict", UNKNOWN,
-        f"unmatched tower summands ({len(pool1)} vs {len(pool2)} left) and "
-        "no separating invariant found; register a witness to certify an "
-        "isomorphism")
+        f"unmatched tower summands ({pool1.total()} vs {pool2.total()} left) "
+        "and no separating invariant found; register a witness to certify "
+        "an isomorphism")
 
 
 def compare_unitary(d1: AbGroupDesc, d2: AbGroupDesc,

@@ -194,7 +194,7 @@ def _emit_free(f: FreePart) -> dict:
         return {"cd": [{"type": _emit_supernatural(tc.representative),
                         "copies": "omega" if mult == OMEGA_COPIES else mult}
                        for tc, mult in f.parts]}
-    if isinstance(f, TowerForm):
+    if isinstance(f, TowerForm) and f.copies == 1:
         return {"tower": _emit_tower(f.tower)}
     if isinstance(f, DirectSum):
         return {"sum": [_emit_free(p) for p in f.parts]}

@@ -1,10 +1,11 @@
 """Symbolic descriptions of countable abelian groups.
 
 A group is a torsion descriptor plus a torsion-free ("free part")
-descriptor.  Free parts are built from free groups, rank-1 groups, finite
-towers, completely decomposable multisets of types and direct sums; the
-OmegaCopies marker appears only in omega-amplified forms produced by the
-comparison engine.
+descriptor.  Free parts are built from free groups, rank-1 groups, tower
+groups, completely decomposable multisets of types and direct sums.  A
+multiplicity is a count, never a list of copies: a positive int or omega
+(which absorbs sums and products), in a CompletelyDecomposable and in
+TowerForm(t, copies).  flatten reads a free part as one such multiset.
 """
 
 from __future__ import annotations
@@ -13,10 +14,28 @@ from dataclasses import dataclass
 from typing import Union
 
 from .fg import TorsionDesc
-from .towers import (Tower, TypeClass, rank1_tower_from_supernatural,
-                     tower_type, validate_tower)
+from .towers import (Supernatural, Tower, TypeClass,
+                     rank1_tower_from_supernatural, tower_type,
+                     validate_tower)
 
-OMEGA_COPIES = "omega"  # multiplicity marker in CompletelyDecomposable parts
+OMEGA_COPIES = "omega"  # the countably infinite multiplicity
+
+Copies = Union[int, str]  # a positive int or OMEGA_COPIES
+
+
+def _check_copies(copies: Copies) -> None:
+    if copies != OMEGA_COPIES and (not isinstance(copies, int) or copies < 1):
+        raise ValueError("multiplicities must be >= 1 or omega")
+
+
+def add_copies(a: Copies, b: Copies) -> Copies:
+    """a + b, with omega absorbing."""
+    return OMEGA_COPIES if OMEGA_COPIES in (a, b) else a + b
+
+
+def times_copies(a: Copies, b: Copies) -> Copies:
+    """a * b for positive counts, with omega absorbing."""
+    return OMEGA_COPIES if OMEGA_COPIES in (a, b) else a * b
 
 
 @dataclass(frozen=True)
@@ -49,23 +68,25 @@ class Rank1:
 class CompletelyDecomposable:
     """Multiset of rank-1 types; multiplicities are positive ints or omega."""
 
-    parts: tuple[tuple[TypeClass, Union[int, str]], ...]
+    parts: tuple[tuple[TypeClass, Copies], ...]
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("empty completely decomposable descriptor")
         for _, mult in self.parts:
-            if mult != OMEGA_COPIES and (not isinstance(mult, int) or mult < 1):
-                raise ValueError("multiplicities must be >= 1 or omega")
+            _check_copies(mult)
 
 
 @dataclass(frozen=True)
 class TowerForm:
-    """A finite-rank torsion-free group presented by a tower."""
+    """copies (a positive int or omega) copies of the finite-rank
+    torsion-free group presented by a tower."""
 
     tower: Tower
+    copies: Copies = 1
 
     def __post_init__(self):
+        _check_copies(self.copies)
         defects = validate_tower(self.tower)
         if defects:
             raise ValueError("invalid tower: " + "; ".join(defects))
@@ -80,15 +101,8 @@ class DirectSum:
             raise ValueError("empty direct sum")
 
 
-@dataclass(frozen=True)
-class OmegaCopies:
-    """Countably many copies of a tower summand (amplified form marker)."""
-
-    tower: Tower
-
-
 FreePart = Union[FreeOfRank, Rank1, CompletelyDecomposable, TowerForm,
-                 DirectSum, OmegaCopies]
+                 DirectSum]
 
 # K-group results are the same symbolic shapes
 KGroupDesc = FreePart
@@ -134,77 +148,79 @@ def direct_sum_of(parts) -> FreePart:
     return DirectSum(tuple(out))
 
 
+NO_TOWER_FORM = "omega-amplified parts have no finite tower form"
+
+
 @dataclass(frozen=True)
 class Summands:
-    """Flattened free part used by the comparison engine."""
+    """A free part as a multiset: Z^free_rank, and the count of each
+    rank-1 summand, keyed by its exact characteristic, and of each tower
+    summand of rank >= 2.  Two characteristics of one type stay two keys,
+    so each summand keeps its finite exponents."""
 
     free_rank: int
-    types: tuple[TypeClass, ...]          # finite-multiplicity rank-1 summands
-    towers: tuple[Tower, ...]             # rank >= 2 summands
-    omega_types: frozenset[TypeClass]     # types with multiplicity omega
-    omega_towers: tuple[Tower, ...]       # omega-amplified tower summands
+    types: dict[Supernatural, Copies]
+    towers: dict[Tower, Copies]
 
     @property
     def has_omega(self) -> bool:
-        return bool(self.omega_types) or bool(self.omega_towers)
+        return (OMEGA_COPIES in self.types.values()
+                or OMEGA_COPIES in self.towers.values())
 
     def finite_rank(self) -> int:
-        return (self.free_rank + len(self.types)
-                + sum(t.rank for t in self.towers))
+        if self.has_omega:
+            raise ValueError(NO_TOWER_FORM)
+        return (self.free_rank + sum(self.types.values())
+                + sum(t.rank * c for t, c in self.towers.items()))
+
+
+def _walk(f: FreePart):
+    """Every summand of f in the order of the tree, as (key, copies): the
+    key is an int rank for a free summand, the characteristic of a rank-1
+    summand, or a tower of rank >= 2."""
+    if isinstance(f, DirectSum):
+        for q in f.parts:
+            yield from _walk(q)
+    elif isinstance(f, FreeOfRank):
+        yield f.rank, 1
+    elif isinstance(f, Rank1):
+        yield f.type.representative, 1
+    elif isinstance(f, CompletelyDecomposable):
+        for tc, mult in f.parts:
+            yield tc.representative, mult
+    elif isinstance(f, TowerForm):
+        t = f.tower
+        yield (tower_type(t).representative if t.rank == 1 else t), f.copies
+    else:
+        raise TypeError(f"not a free part: {f!r}")
 
 
 def flatten(f: FreePart) -> Summands:
-    free_rank = 0
-    types: list[TypeClass] = []
-    towers: list[Tower] = []
-    omega_types: set[TypeClass] = set()
-    omega_towers: list[Tower] = []
-
-    def walk(p: FreePart):
-        nonlocal free_rank
-        if isinstance(p, FreeOfRank):
-            free_rank += p.rank
-        elif isinstance(p, Rank1):
-            types.append(p.type)
-        elif isinstance(p, CompletelyDecomposable):
-            for tc, mult in p.parts:
-                if mult == OMEGA_COPIES:
-                    omega_types.add(tc)
-                else:
-                    types.extend([tc] * mult)
-        elif isinstance(p, TowerForm):
-            if p.tower.rank == 1:
-                types.append(tower_type(p.tower))
-            else:
-                towers.append(p.tower)
-        elif isinstance(p, DirectSum):
-            for q in p.parts:
-                walk(q)
-        elif isinstance(p, OmegaCopies):
-            if p.tower.rank == 1:
-                omega_types.add(tower_type(p.tower))
-            else:
-                omega_towers.append(p.tower)
+    free_rank, types, towers = 0, {}, {}
+    for key, copies in _walk(f):
+        if isinstance(key, int):
+            free_rank += key
         else:
-            raise TypeError(f"not a free part: {p!r}")
-
-    walk(f)
-    return Summands(free_rank, tuple(types), tuple(towers),
-                    frozenset(omega_types), tuple(omega_towers))
+            counts = towers if isinstance(key, Tower) else types
+            counts[key] = add_copies(counts.get(key, 0), copies)
+    return Summands(free_rank, types, towers)
 
 
 def summand_towers(f: FreePart) -> list[Tower]:
-    """Every summand as a concrete tower (finite-rank descriptors only)."""
-    s = flatten(f)
-    if s.has_omega:
-        raise ValueError("omega-amplified parts have no finite tower form")
-    out: list[Tower] = []
-    if s.free_rank:
-        out.append(Tower.free(s.free_rank))
-    out.extend(rank1_tower_from_supernatural(tc.representative)
-               for tc in s.types)
-    out.extend(s.towers)
-    return out
+    """Every summand as a concrete tower (finite-rank descriptors only):
+    Z^free_rank first, then the rank-1 summands, then the towers of rank
+    >= 2, each in walk order with every copy listed."""
+    free_rank, types, towers = 0, [], []
+    for key, copies in _walk(f):
+        if copies == OMEGA_COPIES:
+            raise ValueError(NO_TOWER_FORM)
+        if isinstance(key, int):
+            free_rank += key
+        elif isinstance(key, Tower):
+            towers.extend([key] * copies)
+        else:
+            types.extend([rank1_tower_from_supernatural(key)] * copies)
+    return ([Tower.free(free_rank)] if free_rank else []) + types + towers
 
 
 def describe(f: FreePart) -> str:
@@ -217,9 +233,9 @@ def describe(f: FreePart) -> str:
         bits = [f"{tc} x {mult}" for tc, mult in f.parts]
         return "completely decomposable(" + ", ".join(bits) + ")"
     if isinstance(f, TowerForm):
-        return f"tower group of rank {f.tower.rank}"
+        if f.copies == 1:
+            return f"tower group of rank {f.tower.rank}"
+        return f"{f.copies} copies of rank-{f.tower.rank} tower group"
     if isinstance(f, DirectSum):
         return " + ".join(describe(p) for p in f.parts)
-    if isinstance(f, OmegaCopies):
-        return f"omega copies of rank-{f.tower.rank} tower group"
     raise TypeError(f"not a free part: {f!r}")

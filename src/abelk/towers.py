@@ -146,6 +146,15 @@ class Tower:
 
     # Per-object caches: cached_property stores into the instance dict,
     # which a frozen dataclass leaves writable and keeps out of ==/hash.
+    # Towers are dict keys of the summand counts (groups.flatten): hash the
+    # matrices once.  dataclass keeps an explicit __hash__.
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.rank, self.prefix, self.period))
+
     @functools.cached_property
     def _period_product(self) -> IntMatrix:
         m = IntMatrix.identity(self.rank)

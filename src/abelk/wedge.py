@@ -99,9 +99,6 @@ def _odd_even_sum(f: FreePart, parity: int) -> KGroupDesc:
     """Direct sum of the exterior powers of f with total degree == parity
     mod 2, computed summand by summand via the binomial expansion of the
     wedge of a direct sum."""
-    s = flatten(f)
-    if s.has_omega:
-        raise ValueError("K-groups of omega-amplified parts are not modeled")
     # free summands (including any structurally trivial tower) only
     # contribute multiplicities, so split them off combinatorially
     free_rank = 0

@@ -237,10 +237,12 @@ def naive_top_wedge_characteristic(s) -> Supernatural:
             cur = total.get(p, 0)
             total[p] = INF if INF in (cur, e) else cur + e
 
-    for tc in s.types:
-        add(tc.representative)
-    for t in s.towers:
+    for sup, copies in s.types.items():
+        for _ in range(copies):
+            add(sup)
+    for t, copies in s.towers.items():
         top = Tower(1, tuple(compound_matrix(m, t.rank) for m in t.prefix),
                     tuple(compound_matrix(m, t.rank) for m in t.period))
-        add(characteristic(top, unit_element(top)))
+        for _ in range(copies):
+            add(characteristic(top, unit_element(top)))
     return Supernatural.of(total)

@@ -168,6 +168,23 @@ class TestExitCodes:
         assert main(["check-witness", path]) == 2
         assert "witness map is 2x2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("copies", [10 ** 6, 10 ** 9])
+    def test_oversized_summand_copies(self, files, capsys, monkeypatch,
+                                      copies):
+        # the ranks are read off the counts: no summand is listed before
+        # the map's size is compared with them
+        def no_listing(f):
+            raise AssertionError("summands listed before the rank check")
+
+        monkeypatch.setattr(abelk.compare, "summand_towers", no_listing)
+        path = files("w.json", json.dumps(
+            {"matrix": [[1, 0], [0, 1]],
+             "src": {"cd": [{"type": {"2": "inf"}, "copies": copies}]},
+             "dst": {"tower": {"rank": 2, "period": [[[2, 1], [1, 1]]]}}}))
+        assert main(["check-witness", path]) == 2
+        assert (f"towers have ranks {copies} and 2"
+                in capsys.readouterr().err)
+
     def test_witness_between_groups_of_rank_zero_and_one(self, files):
         path = files("w.json", json.dumps(
             {"matrix": [[1]], "src": {"free": 0}, "dst": {"free": 1}}))

@@ -10,11 +10,13 @@ from abelk import (AbGroupDesc, Cardinal, CompletelyDecomposable,
                    IntMatrix, RatMatrix, Rank1, SingularWitnessError,
                    Supernatural, TorsionDesc, Tower, TowerForm, TypeClass,
                    Witness, amplify, check_witness, compare_free_parts,
-                   compare_k1, compare_unitary, direct_sum_of,
+                   compare_k1, compare_unitary, describe, direct_sum_of,
                    rank1_tower_from_supernatural, unitary_invariant)
 from abelk import compare
 from abelk.gallery import default_pair_config
-from abelk.groups import OMEGA_COPIES, flatten
+from abelk.groups import OMEGA_COPIES, flatten, summand_towers
+from abelk.matrices import compound_matrix
+from abelk.towers import characteristic, mod_p_rank, unit_element
 
 from conftest import rand_tower
 
@@ -31,7 +33,7 @@ class TestAmplify:
         f = direct_sum_of([FreeOfRank(1), rank1_of({2: INF})])
         s = flatten(amplify(f, Cardinal.fin(3)))
         assert s.free_rank == 3
-        assert list(s.types) == [TAU2] * 3
+        assert s.types == {TAU2.representative: 3}
 
     def test_one_is_identity(self):
         f = rank1_of({2: INF})
@@ -42,13 +44,13 @@ class TestAmplify:
         f2 = amplify(FreeOfRank(5), Cardinal.omega())
         assert f1 == f2
         s = flatten(f1)
-        assert s.free_rank == 0 and s.omega_types
+        assert s.free_rank == 0 and s.types == {Supernatural(): OMEGA_COPIES}
 
     def test_omega_towers_deduplicated(self):
         t = Tower(2, (), (IntMatrix.from_rows([[2, 15], [1, 2]]),))
         f = direct_sum_of([TowerForm(t), TowerForm(t)])
         s = flatten(amplify(f, Cardinal.omega()))
-        assert list(s.omega_towers) == [t]
+        assert s.towers == {t: OMEGA_COPIES}
 
     def test_trivial_group_stays_trivial(self):
         assert amplify(FreeOfRank(0), Cardinal.omega()) == FreeOfRank(0)
@@ -268,3 +270,162 @@ class TestCompareGroups:
         g1 = AbGroupDesc(TorsionDesc(FgAbGroup(0, (4,))), FreeOfRank(1))
         g2 = AbGroupDesc(TorsionDesc(FgAbGroup(0, (2, 2))), FreeOfRank(1))
         assert compare_unitary(g1, g2).verdict == "isomorphic"
+
+
+def omega_times(a, b):
+    """Cardinal product, omega absorbing."""
+    if a.is_omega or b.is_omega:
+        return Cardinal.omega()
+    return Cardinal.fin(a.value * b.value)
+
+
+def rand_parts(rng, cfg):
+    """One to three free, rank-1, completely decomposable and tower
+    summands, the Fuchs towers among them."""
+    kinds = (
+        lambda: FreeOfRank(rng.randint(0, 2)),
+        lambda: rank1_of({p: rng.choice([1, INF])
+                          for p in rng.sample([2, 3, 5], rng.randint(1, 2))}),
+        lambda: CompletelyDecomposable(((TAU2, rng.randint(1, 2)),
+                                        (TAU3, rng.randint(1, 2)))),
+        lambda: TowerForm(cfg.gamma1),
+        lambda: TowerForm(cfg.gamma2),
+        lambda: TowerForm(rand_tower(rng, rng.choice([2, 3]), 1, 1)),
+    )
+    return [rng.choice(kinds)() for _ in range(rng.randint(1, 3))]
+
+
+def rand_pair(rng, cfg):
+    """Two free parts: equal, the same with the Fuchs towers swapped, or
+    unrelated."""
+    parts = rand_parts(rng, cfg)
+    swap = {cfg.gamma1: cfg.gamma2, cfg.gamma2: cfg.gamma1}
+    r = rng.random()
+    other = (parts if r < 0.2 else rand_parts(rng, cfg) if r < 0.4
+             else [TowerForm(swap.get(p.tower, p.tower))
+                   if isinstance(p, TowerForm) else p for p in parts])
+    return direct_sum_of(parts), direct_sum_of(other)
+
+
+class TestMultiplicityCounts:
+    """A multiplicity is a count from flatten to the verdict: amplifying
+    never lists a summand alpha times."""
+
+    def fuchs_pair(self, torsion):
+        cfg = default_pair_config()
+        tors = TorsionDesc(FgAbGroup(0, torsion))
+        return (AbGroupDesc(tors, TowerForm(cfg.gamma1)),
+                AbGroupDesc(tors, TowerForm(cfg.gamma2)))
+
+    def test_large_torsion_reads_counts(self, monkeypatch):
+        # alpha = 4096: one top wedge per distinct tower and side, not
+        # one per copy
+        calls = []
+        top_wedge = compare._top_wedge
+
+        def counting(t):
+            calls.append(t)
+            return top_wedge(t)
+
+        monkeypatch.setattr(compare, "_top_wedge", counting)
+        g1, g2 = self.fuchs_pair((64, 64))
+        res = compare_unitary(g1, g2)
+        assert res.verdict == "unknown"
+        assert "unmatched tower summands (4096 vs 4096 left)" in res.evidence
+        assert len(calls) == 2
+
+    def test_huge_witness_copies_give_a_verdict(self):
+        # the witness sides are counted, so 10^9 copies cost no memory;
+        # they match no summand of the pair and are never checked
+        cfg = default_pair_config()
+        a, b = TowerForm(cfg.gamma1), TowerForm(cfg.gamma2)
+        w = Witness(10 ** 9, RatMatrix.identity(2), a, b, name="huge")
+        assert compare_free_parts(a, b, (w,)).verdict == "unknown"
+
+    def test_repeated_omega_towers_count_once(self):
+        t = default_pair_config().gamma1
+        omega = TowerForm(t, OMEGA_COPIES)
+        for twice in (direct_sum_of([omega, omega]),
+                      direct_sum_of([TowerForm(t), omega])):
+            assert flatten(twice).towers == {t: OMEGA_COPIES}
+            res = compare_free_parts(twice, omega)
+            assert res.verdict == "isomorphic"
+            assert res.evidence == ("structurally identical omega-amplified "
+                                    "summands")
+
+    def test_copies_are_validated_and_described(self):
+        t = default_pair_config().gamma1
+        for bad in (0, -1, "many", 1.5):
+            with pytest.raises(ValueError):
+                TowerForm(t, bad)
+        assert describe(TowerForm(t)) == "tower group of rank 2"
+        assert describe(TowerForm(t, 3)) == "3 copies of rank-2 tower group"
+        assert (describe(TowerForm(t, OMEGA_COPIES))
+                == "omega copies of rank-2 tower group")
+
+    def test_amplify_is_the_repeated_direct_sum(self):
+        rng = random.Random(97)
+        cfg = default_pair_config()
+        fuchs = Witness(cfg.witness_copies, cfg.witness_map,
+                        TowerForm(cfg.gamma1), TowerForm(cfg.gamma2),
+                        name="squares")
+        for _ in range(60):
+            f1, f2 = rand_pair(rng, cfg)
+            ws = (fuchs,) if rng.random() < 0.5 else ()
+            n = rng.choice([2, 3])
+            by_counts = compare_free_parts(amplify(f1, Cardinal.fin(n)),
+                                           amplify(f2, Cardinal.fin(n)), ws)
+            by_copies = compare_free_parts(direct_sum_of([f1] * n),
+                                           direct_sum_of([f2] * n), ws)
+            assert by_counts == by_copies, (f1, f2, n)
+
+    def test_counts_agree_with_listed_copies(self):
+        # rank, p-ranks and the top exterior power read off the counts of
+        # the amplified sum, against every copy listed and each top wedge
+        # built from full-order compounds
+        rng = random.Random(103)
+        cfg = default_pair_config()
+        for _ in range(30):
+            f, n = direct_sum_of(rand_parts(rng, cfg)), rng.choice([2, 3])
+            s = flatten(amplify(f, Cardinal.fin(n)))
+            listed = summand_towers(direct_sum_of([f] * n))
+            assert s.finite_rank() == sum(t.rank for t in listed)
+            for p in compare._relevant_primes(s):
+                assert compare._p_rank(s, p) == sum(mod_p_rank(t, p)
+                                                    for t in listed)
+            total = {}
+            for t in listed:
+                top = Tower(1, tuple(compound_matrix(m, t.rank)
+                                     for m in t.prefix),
+                            tuple(compound_matrix(m, t.rank)
+                                  for m in t.period))
+                for p, e in characteristic(top, unit_element(top)).items:
+                    cur = total.get(p, 0)
+                    total[p] = INF if INF in (cur, e) else cur + e
+            assert (compare._top_wedge_characteristic(s)
+                    == Supernatural.of(total)), (f, n)
+
+    def test_witness_needs_both_sides(self):
+        # the squares witness Gamma1^2 -> Gamma2^2 finds Gamma2^2 on one
+        # side but only one Gamma1 on the other: no match, and one
+        # identical Gamma2 cancels
+        cfg = default_pair_config()
+        a, b = TowerForm(cfg.gamma1), TowerForm(cfg.gamma2)
+        w = Witness(cfg.witness_copies, cfg.witness_map, a, b, name="squares")
+        res = compare_free_parts(direct_sum_of([a, b]),
+                                 direct_sum_of([b, b]), (w,))
+        assert res.verdict == "unknown"
+        assert "unmatched tower summands (1 vs 1 left)" in res.evidence
+
+    def test_amplify_composes(self):
+        rng = random.Random(101)
+        cfg = default_pair_config()
+        alphas = [Cardinal.fin(1), Cardinal.fin(2), Cardinal.fin(3),
+                  Cardinal.omega()]
+        for _ in range(30):
+            f = direct_sum_of(rand_parts(rng, cfg))
+            for m in alphas:
+                for n in alphas:
+                    assert (flatten(amplify(amplify(f, m), n))
+                            == flatten(amplify(f, omega_times(m, n)))), \
+                        (f, m, n)

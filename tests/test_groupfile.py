@@ -52,7 +52,7 @@ class TestParsing:
                          {"type": {"3": "inf"}, "copies": 2}]}}
         """)
         s = flatten(g.free)
-        assert len(s.omega_types) == 1 and len(s.types) == 2
+        assert list(s.types.values()) == ["omega", 2]
 
 
 class TestErrors:
@@ -127,6 +127,14 @@ class TestRoundTrip:
     def test_name_is_preserved_in_emission(self):
         g = parse_group_file('{"free": {"free": 1}}')
         assert '"name": "z"' in emit_group(g, name="z")
+
+    def test_tower_copies_have_no_file_form(self):
+        # a tower with copies != 1 only comes out of amplify
+        g = parse_group_file(self.CASES[4])
+        t = next(iter(flatten(g.free).towers))
+        for copies in (2, "omega"):
+            with pytest.raises(ValueError, match="no file form"):
+                emit_group(AbGroupDesc.torsion_free(TowerForm(t, copies)))
 
 
 class TestWitnessFiles:
