@@ -69,6 +69,10 @@ class Witness:
     dst: FreePart
     name: str = "witness"
 
+    def __post_init__(self):
+        if type(self.copies) is not int or self.copies < 1:
+            raise ValueError("witness copies must be a positive int")
+
 
 def _reduced(rows, d: int) -> tuple[list[tuple[int, ...]], int]:
     """The integer rows over the denominator d, with the common factor of
@@ -120,11 +124,10 @@ def check_witness(w: Witness) -> bool:
     over a denominator, and one residue walk per stage decides all
     generators at once.
     """
-    # copies below 1 count as one copy; the ranks come from the counts, so
-    # an oversized count (of the witness or a summand) is rejected at once
-    copies = max(w.copies, 1)
-    src_rank = copies * flatten(w.src).finite_rank()
-    dst_rank = copies * flatten(w.dst).finite_rank()
+    # the ranks come from the counts, so an oversized count (of the
+    # witness or a summand) is rejected at once
+    src_rank = w.copies * flatten(w.src).finite_rank()
+    dst_rank = w.copies * flatten(w.dst).finite_rank()
     n = w.map.rows
     if w.map.cols != n or src_rank != n or dst_rank != n:
         raise DimensionMismatchError(
@@ -137,8 +140,8 @@ def check_witness(w: Witness) -> bool:
         b, e = integer_inverse(a)
     except SingularMatrixError:
         raise SingularWitnessError("witness map is singular") from None
-    src = direct_sum_towers(summand_towers(w.src) * copies)
-    dst = direct_sum_towers(summand_towers(w.dst) * copies)
+    src = direct_sum_towers(summand_towers(w.src) * w.copies)
+    dst = direct_sum_towers(summand_towers(w.dst) * w.copies)
     # (a / den)^-1 = den * b / e
     inv = _reduced([tuple(den * x for x in row) for row in b.entries], e)
     return (_maps_lattices_into(src, dst, a.entries, den)
@@ -234,8 +237,7 @@ def _p_rank(s: Summands, p: int) -> int:
 
 
 def _tower_multiset(f: FreePart, copies: int) -> Counter:
-    """summand_towers(f) * copies, counted instead of listed: copies below
-    1 give the empty multiset, as a list repeated fewer than once does."""
+    """summand_towers(f) * copies, counted instead of listed."""
     s = flatten(f)
     if s.has_omega:
         raise ValueError(NO_TOWER_FORM)
@@ -244,7 +246,7 @@ def _tower_multiset(f: FreePart, copies: int) -> Counter:
     out.update(s.towers)
     if s.free_rank:
         out[Tower.free(s.free_rank)] += 1
-    return Counter({t: c * max(copies, 0) for t, c in out.items()})
+    return Counter({t: c * copies for t, c in out.items()})
 
 
 def _format_counts(counts: dict) -> str:

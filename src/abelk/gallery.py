@@ -38,10 +38,6 @@ UNKNOWN = "UNKNOWN"
 NOTICE = "notice"
 
 
-class MissingConfigurationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Claim:
     """kind + indices of the entry groups it speaks about + expectation."""

@@ -7,9 +7,12 @@ described: its torsion part T is discarded.  For T nonzero that is not
 the K-theory of C*(T (+) F) = C(T^) (x) C*(F), whose K-groups are
 C(T^, Z) (x) the even or odd exterior powers of F by the Kuenneth theorem
 (ROADMAP item 4).  Exterior powers commute with direct limits, so the
-wedge of a tower is the tower of compound matrices.  A K-group builds
-every exterior power of each summand tower once, from one all-orders
-compound pass per connecting matrix.
+wedge of a tower is the tower of compound matrices.  Lambda of a direct
+sum is the tensor product of the summands' exterior algebras: a K-group
+folds them as counts keyed by (degree mod 2, tensor factors), free part
+first and then in flatten order.  Each exterior power of each distinct
+summand tower is built once, from one all-orders compound pass per
+connecting matrix, and each distinct tensor product once, with its count.
 
 An exterior power or tensor product inherits from the towers it is built
 from the three invariants a comparison reads, none of them computed on a
@@ -33,15 +36,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from collections import Counter
 
 from .matrices import (IntMatrix, binomial, compound_determinant,
                        compound_matrices, compound_matrix)
-from .groups import (AbGroupDesc, FreeOfRank, FreePart, KGroupDesc,
-                     Rank1, TowerForm, direct_sum_of, flatten,
-                     summand_towers)
+from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
+                     FreePart, KGroupDesc, Rank1, TowerForm, direct_sum_of,
+                     flatten)
 from .towers import (Tower, TypeClass, _built_from, _is_trivial_tower,
-                     is_divisible, mod_p_rank, stable_period_power,
-                     tensor_towers, tower_type, unit_element)
+                     is_divisible, mod_p_rank, rank1_tower_from_supernatural,
+                     stable_period_power, tensor_towers, tower_type,
+                     unit_element)
 
 
 def _wedge_tower(t: Tower, k: int, prefix, period) -> Tower:
@@ -83,55 +89,81 @@ def _top_wedge(t: Tower) -> Tower:
     return _wedge_tower(t, t.rank, one_by_one(dets[:a]), one_by_one(dets[a:]))
 
 
-def _tensor_of_powers(powers, degrees) -> FreePart:
-    """The tensor product of the exterior powers powers[i][degrees[i]],
-    as a free summand when its tower is trivial."""
-    factors = [w[d] for w, d in zip(powers, degrees) if d >= 1]
-    if not factors:
-        return FreeOfRank(1)
-    summand = factors[0] if len(factors) == 1 else tensor_towers(factors)
-    if _is_trivial_tower(summand):
-        return FreeOfRank(summand.rank)
-    return Rank1(summand) if summand.rank == 1 else TowerForm(summand)
+def _rank1_algebra(factors: tuple, copies: int) -> Counter:
+    """Lambda(R^copies) for R = Z (factors ()) or a rank-1 summand (one
+    factor): Z in degree 0, R in 2^(copies-1) odd and 2^(copies-1) - 1
+    even degrees.  R^(x k) is never built: its characteristic k * chi
+    differs from chi at finitely many primes (every characteristic here
+    is finitely supported), so it has the type of R."""
+    half = 2 ** (copies - 1)
+    return (Counter({(0, ()): 1, (1, factors): half})
+            + Counter({(0, factors): half - 1}))
 
 
-def _odd_even_sum(f: FreePart, parity: int) -> KGroupDesc:
-    """Direct sum of the exterior powers of f with total degree == parity
-    mod 2, computed summand by summand via the binomial expansion of the
-    wedge of a direct sum."""
-    # free summands (including any structurally trivial tower) only
-    # contribute multiplicities, so split them off combinatorially
-    free_rank = 0
-    towers = []
-    for t in summand_towers(f):
+def _tower_algebra(i: int, rank: int, copies: int) -> dict:
+    """Lambda(t^copies) = Lambda(t)^(x copies) for a tower t of the given
+    rank: a term per multiset of degrees, counted by its multinomial,
+    whose factors (i, d) are the positive-degree powers Lambda^d t in
+    increasing d."""
+    return {(sum(ds) % 2, tuple((i, d) for d in ds if d)):
+            math.factorial(copies)
+            // math.prod(math.factorial(ds.count(d)) for d in set(ds))
+            for ds in itertools.combinations_with_replacement(
+                range(rank + 1), copies)}
+
+
+def _k_group(f: FreePart, parity: int) -> KGroupDesc:
+    """Direct sum of the exterior powers of f of degree == parity mod 2,
+    its parts in order of first occurrence in the fold."""
+    s = flatten(f)
+    if s.has_omega:
+        raise ValueError(f"K{parity} of omega-amplified parts is not modeled")
+    rank, limit = s.finite_rank(), sys.get_int_max_str_digits()
+    # 2^(rank-1) has floor((rank - 1) * log10(2)) + 1 decimal digits
+    if limit and (rank - 1) * math.log10(2) >= limit:
+        raise ValueError(f"K-groups of total rank {rank} count up to "
+                         f"2^{rank - 1} summands, more than {limit} digits "
+                         "(sys.get_int_max_str_digits)")
+    if parity and 0 < rank <= 2:
+        return f  # the only odd exterior power is the first
+    # summands with structurally trivial towers join the free part; a
+    # factor (i, d) is powers[i][d], Lambda^d of the i-th other summand
+    free_rank, algebras, powers = s.free_rank, [], []
+    for t, c in [*((rank1_tower_from_supernatural(sup), c)
+                   for sup, c in s.types.items()), *s.towers.items()]:
         if _is_trivial_tower(t):
-            free_rank += t.rank
+            free_rank += c * t.rank
+        elif t.rank == 1:
+            algebras.append(_rank1_algebra(((len(powers), 1),), c))
+            powers.append((Tower.free(1), t))
         else:
-            towers.append(t)
-    out_free = 0
-    out_parts: list[FreePart] = []
-    powers = [_wedge_towers(t) for t in towers]
-    ranges = [range(t.rank + 1) for t in towers]
-    # the tensor product of the exterior powers of each degree tuple,
-    # built once; every free degree a of matching parity reuses it
-    products: dict[tuple[int, ...], FreePart] = {}
-    for a in range(free_rank + 1):
-        for degrees in itertools.product(*ranges):
-            if (a + sum(degrees)) % 2 != parity:
-                continue
-            copies = binomial(free_rank, a)
-            if degrees not in products:
-                products[degrees] = _tensor_of_powers(powers, degrees)
-            part = products[degrees]
-            if isinstance(part, FreeOfRank):
-                out_free += copies * part.rank
-            else:
-                out_parts.extend([part] * copies)
-    parts: list[FreePart] = []
-    if out_free or not out_parts:
-        parts.append(FreeOfRank(out_free))
-    parts.extend(out_parts)
-    return direct_sum_of(parts)
+            algebras.append(_tower_algebra(len(powers), t.rank, c))
+            powers.append(_wedge_towers(t))
+    if free_rank:
+        algebras.insert(0, _rank1_algebra((), free_rank))
+    terms = {(0, ()): 1}
+    for algebra in algebras:
+        folded = {}
+        for (p, fs), c in terms.items():
+            for (q, gs), d in algebra.items():
+                key = ((p + q) % 2, fs + gs)
+                folded[key] = folded.get(key, 0) + c * d
+        terms = folded
+    out_free, parts = 0, []
+    for (p, key), n in terms.items():
+        if p != parity:
+            continue
+        factors = [powers[i][d] for i, d in key]
+        t = (tensor_towers(factors) if len(factors) > 1
+             else factors[0] if factors else Tower.free(1))
+        if _is_trivial_tower(t):
+            out_free += n * t.rank
+        elif t.rank > 1:
+            parts.append(TowerForm(t, n))
+        else:
+            parts.append(Rank1(t) if n == 1 else CompletelyDecomposable(
+                ((tower_type(t), n),)))
+    return direct_sum_of([FreeOfRank(out_free), *parts])
 
 
 def k1(desc: AbGroupDesc) -> KGroupDesc:
@@ -141,29 +173,12 @@ def k1(desc: AbGroupDesc) -> KGroupDesc:
     structurally unchanged (the only odd wedge power is the first); a free
     group of rank m yields free rank 2^(m-1).
     """
-    f = desc.free
-    s = flatten(f)
-    if s.has_omega:
-        raise ValueError("K1 of omega-amplified parts is not modeled")
-    rank = s.finite_rank()
-    if rank == 0:
-        return FreeOfRank(0)
-    if isinstance(f, FreeOfRank):
-        return FreeOfRank(2 ** (rank - 1))
-    if rank <= 2:
-        return f
-    return _odd_even_sum(f, parity=1)
+    return _k_group(desc.free, parity=1)
 
 
 def k0(desc: AbGroupDesc) -> KGroupDesc:
     """K0: direct sum of even exterior powers, including wedge^0 == Z."""
-    f = desc.free
-    s = flatten(f)
-    if s.has_omega:
-        raise ValueError("K0 of omega-amplified parts is not modeled")
-    if isinstance(f, FreeOfRank):
-        return FreeOfRank(1 if f.rank == 0 else 2 ** (f.rank - 1))
-    return _odd_even_sum(f, parity=0)
+    return _k_group(desc.free, parity=0)
 
 
 def wedge_square_type(t: Tower) -> TypeClass:

@@ -1,5 +1,6 @@
 """Shared generators and naive oracles for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,11 @@ from abelk import (INF, DimensionMismatchError, GroupElement, IntMatrix,
                    characteristic, compound_matrix, direct_sum_towers,
                    membership, push_to_stage, rational_inverse,
                    unit_element)
-from abelk.groups import summand_towers
+from abelk.groups import (FreeOfRank, Rank1, TowerForm, direct_sum_of,
+                          flatten, summand_towers)
+from abelk.matrices import binomial
+from abelk.towers import _is_trivial_tower, tensor_towers
+from abelk.wedge import _wedge_towers
 
 
 def to_rational(a: IntMatrix) -> RatMatrix:
@@ -246,3 +251,60 @@ def naive_top_wedge_characteristic(s) -> Supernatural:
         for _ in range(copies):
             add(characteristic(top, unit_element(top)))
     return Supernatural.of(total)
+
+
+def _listed_tensor_of_powers(powers, degrees):
+    """The tensor product of the exterior powers powers[i][degrees[i]],
+    as a free summand when its tower is trivial."""
+    factors = [w[d] for w, d in zip(powers, degrees) if d >= 1]
+    if not factors:
+        return FreeOfRank(1)
+    summand = factors[0] if len(factors) == 1 else tensor_towers(factors)
+    if _is_trivial_tower(summand):
+        return FreeOfRank(summand.rank)
+    return Rank1(summand) if summand.rank == 1 else TowerForm(summand)
+
+
+def listed_odd_even_sum(f, parity: int):
+    """Reference for the K-groups: the direct sum of the exterior powers of
+    f of degree == parity mod 2, by the binomial expansion of the wedge of
+    a direct sum over every listed copy of every summand (one part per
+    copy, each degree tuple's product built once)."""
+    free_rank = 0
+    towers = []
+    for t in summand_towers(f):
+        if _is_trivial_tower(t):
+            free_rank += t.rank
+        else:
+            towers.append(t)
+    out_free = 0
+    out_parts = []
+    powers = [_wedge_towers(t) for t in towers]
+    ranges = [range(t.rank + 1) for t in towers]
+    products = {}
+    for a in range(free_rank + 1):
+        for degrees in itertools.product(*ranges):
+            if (a + sum(degrees)) % 2 != parity:
+                continue
+            copies = binomial(free_rank, a)
+            if degrees not in products:
+                products[degrees] = _listed_tensor_of_powers(powers, degrees)
+            part = products[degrees]
+            if isinstance(part, FreeOfRank):
+                out_free += copies * part.rank
+            else:
+                out_parts.extend([part] * copies)
+    parts = []
+    if out_free or not out_parts:
+        parts.append(FreeOfRank(out_free))
+    parts.extend(out_parts)
+    return direct_sum_of(parts)
+
+
+def listed_k_group(desc, parity: int):
+    """Reference k1 (parity 1) or k0 (parity 0): free parts of rank 1 or 2
+    are their own K1, everything else is listed_odd_even_sum."""
+    rank = flatten(desc.free).finite_rank()
+    if parity and 0 < rank <= 2:
+        return desc.free
+    return listed_odd_even_sum(desc.free, parity)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, formats, exit codes, round-trips."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,16 @@ class TestExitCodes:
         assert main(["check-witness", path]) == 2
         assert (f"towers have ranks {copies} and 2"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["k1", "k0"])
+    def test_huge_free_rank(self, files, capsys, command):
+        # refused before 2^(rank - 1) is computed, naming the rank and
+        # the digit limit on integer strings
+        path = files("g.json", '{"free": {"free": 1000000000}}')
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "total rank 1000000000" in err
+        assert f"{sys.get_int_max_str_digits()} digits" in err
 
     def test_witness_between_groups_of_rank_zero_and_one(self, files):
         path = files("w.json", json.dumps(

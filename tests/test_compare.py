@@ -195,6 +195,14 @@ class TestWitness:
         with pytest.raises(DimensionMismatchError):
             check_witness(Witness(w.copies, small, w.src, w.dst))
 
+    @pytest.mark.parametrize("copies", [0, -1, True, 1.5, "2"])
+    def test_copies_validated_at_construction(self, copies):
+        # a witness of no copies would match the empty multiset and be
+        # reported as used without certifying anything
+        g = TowerForm(default_pair_config().gamma1)
+        with pytest.raises(ValueError, match="positive int"):
+            Witness(copies, RatMatrix.identity(2), g, g, name="zero")
+
     def test_oversized_copies_rejected_before_any_direct_sum(self,
                                                              monkeypatch):
         # the ranks come from the free parts, so a map that cannot fit is

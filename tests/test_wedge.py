@@ -2,20 +2,23 @@
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from abelk import (AbGroupDesc, FgAbGroup, FreeOfRank, GroupElement, INF,
-                   IntMatrix, Rank1, Supernatural, TorsionDesc, Tower,
-                   TowerForm, TypeClass, compare_k1, direct_sum_of,
-                   is_divisible, k0, k1, wedge_divisible_by_search,
-                   wedge_power_tower, wedge_square_type, wedge_unit_divisible)
+from abelk import (AbGroupDesc, CompletelyDecomposable, DirectSum,
+                   FgAbGroup, FreeOfRank, GroupElement, INF, IntMatrix,
+                   Rank1, Supernatural, TorsionDesc, Tower, TowerForm,
+                   TypeClass, compare_k1, direct_sum_of, is_divisible, k0,
+                   k1, rank1_tower_from_supernatural,
+                   wedge_divisible_by_search, wedge_power_tower,
+                   wedge_square_type, wedge_unit_divisible)
 from abelk import compare, towers, wedge
-from abelk.groups import flatten, summand_towers
+from abelk.groups import describe, flatten, summand_towers
 
-from conftest import (naive_top_wedge_characteristic, rand_nonsingular,
-                      rand_tower, unimodular_pair)
+from conftest import (listed_k_group, naive_top_wedge_characteristic,
+                      rand_nonsingular, rand_tower, unimodular_pair)
 
 
 class TestWedgePowerTower:
@@ -85,6 +88,26 @@ class TestWorkDone:
             seen.clear()
             kgroup(g)
             assert seen == mats
+
+    def test_one_pass_per_distinct_tower(self, monkeypatch):
+        # three copies of one tower: its exterior powers are built once
+        rng = random.Random(103)
+        gamma = Tower(3, (rand_nonsingular(rng, 3, -3, 3),),
+                      (rand_nonsingular(rng, 3, -3, 3),
+                       rand_nonsingular(rng, 3, -3, 3)))
+        g = AbGroupDesc.torsion_free(direct_sum_of([TowerForm(gamma)] * 3))
+        seen = []
+        kernel = wedge.compound_matrices
+
+        def counted(m):
+            seen.append(m)
+            return kernel(m)
+
+        monkeypatch.setattr(wedge, "compound_matrices", counted)
+        for kgroup in (k1, k0):
+            seen.clear()
+            kgroup(g)
+            assert seen == list(gamma.prefix + gamma.period)
 
     def test_each_tensor_product_once(self, monkeypatch):
         # Z^2 (+) rank-3 tower (+) rank-2 tower: degrees (1-3, 1-2) give 6
@@ -251,6 +274,145 @@ class TestK0:
             total = flatten(g.free).finite_rank()
             assert (flatten(k0(g)).finite_rank()
                     + flatten(k1(g)).finite_rank()) == 2 ** total
+
+
+GAMMA1 = Tower(2, (), (IntMatrix.from_rows([[2, 15], [1, 2]]),))
+HALVES = Supernatural.of({2: INF})
+
+
+def random_sum(rng: random.Random):
+    """A direct sum of free, rank-1, completely decomposable (counts up to
+    3) and rank-2/3 tower summands of total rank at most 6, often with a
+    summand repeated."""
+    def sup():
+        return Supernatural.of({p: rng.choice((INF, INF, 0, 1))
+                                for p in rng.sample((2, 3, 5), 2)})
+
+    parts, pool, rank = [], [], 0
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if pool and kind < 0.3:
+            part = rng.choice(pool)
+        elif kind < 0.45:
+            part = FreeOfRank(rng.randint(0, 2))
+        elif kind < 0.65:
+            part = Rank1(rng.choice((rank1_tower_from_supernatural(sup()),
+                                     rand_tower(rng, 1, 1, 1))))
+        elif kind < 0.8:
+            part = CompletelyDecomposable(tuple(
+                (TypeClass(sup()), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))))
+        else:
+            part = TowerForm(rand_tower(rng, rng.choice((2, 3)), 1, 2))
+        r = flatten(part).finite_rank()
+        if rank + r > 6:
+            break
+        parts.append(part)
+        pool.append(part)
+        rank += r
+    return direct_sum_of(parts)
+
+
+def kgroup_counts(kg):
+    """Free rank, count per type and count of towers per rank."""
+    s = flatten(kg)
+    types, ranks = Counter(), Counter()
+    for sup, c in s.types.items():
+        types[TypeClass(sup)] += c
+    for t, c in s.towers.items():
+        ranks[t.rank] += c
+    return s.free_rank, types, ranks
+
+
+class TestCountedKGroups:
+    """k1 and k0 count each distinct product once; the listing reference
+    (one part per copy) agrees on every count."""
+
+    def test_counts_match_listed_reference(self):
+        rng = random.Random(101)
+        plain = repeated = 0
+        for _ in range(320):
+            g = AbGroupDesc.torsion_free(random_sum(rng))
+            for parity, kgroup in ((1, k1), (0, k0)):
+                got, ref = kgroup(g), listed_k_group(g, parity)
+                assert kgroup_counts(got) == kgroup_counts(ref), g
+                parts = [p for p in (ref.parts if isinstance(ref, DirectSum)
+                                     else (ref,))
+                         if not isinstance(p, FreeOfRank)]
+                if len(set(parts)) == len(parts):
+                    plain += 1
+                    assert describe(got) == describe(ref), g
+                else:
+                    repeated += 1
+        assert plain > 150 and repeated > 150
+
+    @pytest.mark.parametrize("free, parity, text", [
+        (CompletelyDecomposable(((TypeClass(HALVES), 18),)), 1,
+         "completely decomposable(type[2^inf] x 131072)"),
+        (CompletelyDecomposable(((TypeClass(HALVES), 18),)), 0,
+         "free rank 1 + completely decomposable(type[2^inf] x 131071)"),
+        (CompletelyDecomposable(((TypeClass(HALVES), 200),)), 1,
+         f"completely decomposable(type[2^inf] x {2 ** 199})"),
+        (direct_sum_of([FreeOfRank(20), TowerForm(GAMMA1)]), 1,
+         "free rank 524288 + 524288 copies of rank-2 tower group"
+         " + completely decomposable(type[11^inf] x 524288)"),
+        (direct_sum_of([FreeOfRank(40), TowerForm(GAMMA1)]), 0,
+         "free rank 549755813888"
+         " + completely decomposable(type[11^inf] x 549755813888)"
+         " + 549755813888 copies of rank-2 tower group"),
+        (direct_sum_of([TowerForm(GAMMA1)] * 3), 1,
+         "3 copies of rank-2 tower group + 6 copies of rank-2 tower group"
+         " + tower group of rank 8 + 3 copies of rank-2 tower group"),
+        (direct_sum_of([TowerForm(GAMMA1)] * 3), 0,
+         "free rank 1 + completely decomposable(type[11^inf] x 3)"
+         " + 3 copies of rank-4 tower group"
+         " + completely decomposable(type[11^inf] x 3)"
+         " + 3 copies of rank-4 tower group + rank-1 group of type[11^inf]"),
+    ])
+    def test_descriptions_grow_with_distinct_parts(self, free, parity, text):
+        kgroup = k1 if parity else k0
+        assert describe(kgroup(AbGroupDesc.torsion_free(free))) == text
+
+    def test_nine_copies(self):
+        # one part per multiset of 9 degrees in {0, 1, 2} of that parity
+        g = AbGroupDesc.torsion_free(direct_sum_of([TowerForm(GAMMA1)] * 9))
+        for kgroup, parts in ((k1, 25), (k0, 30)):
+            kg = kgroup(g)
+            assert len(kg.parts) == parts
+            assert flatten(kg).finite_rank() == 2 ** 17
+
+    def test_rank_guard_at_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        # the largest rank whose count 2^(rank-1) prints within the
+        # limit: 2^rank is the first power of 2 with more digits
+        bound = 10 ** limit
+        rank = next(n for n in range(3 * limit, 4 * limit)
+                    if 2 ** n >= bound)
+        assert k1(AbGroupDesc.free_abelian(rank)) \
+            == FreeOfRank(2 ** (rank - 1))
+        for kgroup in (k1, k0):
+            with pytest.raises(ValueError,
+                               match=f"rank {rank + 1} .* {limit} digits"):
+                kgroup(AbGroupDesc.free_abelian(rank + 1))
+
+    @pytest.mark.parametrize("rank", [10 ** 5, 10 ** 9])
+    def test_huge_ranks_rejected(self, rank):
+        huge = [AbGroupDesc.free_abelian(rank),
+                AbGroupDesc.torsion_free(direct_sum_of(
+                    [FreeOfRank(rank - 2), TowerForm(GAMMA1)]))]
+        for g in huge:
+            for kgroup in (k1, k0):
+                with pytest.raises(ValueError, match=f"total rank {rank} "):
+                    kgroup(g)
+
+    def test_no_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert k0(AbGroupDesc.free_abelian(20000)) \
+                == FreeOfRank(2 ** 19999)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestWedgeSquareType:
