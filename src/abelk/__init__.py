@@ -9,8 +9,8 @@ isomorphism comparisons, all in exact arithmetic.
 
 from .matrices import (IntMatrix, RatMatrix, SingularMatrixError, SmithForm,
                        compound_matrix, rational_inverse, smith_normal_form)
-from .fg import (Cardinal, FgAbGroup, OMEGA, TorsionDesc, TRIVIAL_GROUP,
-                 fg_isomorphic, from_relations, torsion_cardinal)
+from .fg import (FgAbGroup, TorsionDesc, TRIVIAL_GROUP, fg_isomorphic,
+                 from_relations)
 from .towers import (GroupElement, INF, Supernatural, Tower, TypeClass,
                      ZeroElementError, characteristic, direct_sum_towers,
                      elements_equal, height, is_divisible, membership,
@@ -26,7 +26,7 @@ from .wedge import (k0, k1, wedge_divisible_by_search, wedge_power_tower,
 from .compare import (DimensionMismatchError, SingularWitnessError,
                       UnitaryInvariant, Verdict, Witness, amplify,
                       check_witness, compare_free_parts, compare_k1,
-                      compare_unitary, unitary_invariant)
+                      compare_unitary, torsion_cardinal, unitary_invariant)
 from .gallery import (GalleryEntry, Claim, builtin_gallery,
                       default_pair_config, load_pair_config, render_report,
                       verify_entry, verify_gallery)

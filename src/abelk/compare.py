@@ -15,9 +15,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .fg import Cardinal, torsion_cardinal
-from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
-                     FreePart, Summands, TowerForm, add_copies,
+from .fg import TorsionDesc
+from .groups import (AbGroupDesc, CompletelyDecomposable, Copies, FreeOfRank,
+                     FreePart, Summands, TowerForm, add_copies, check_copies,
                      direct_sum_of, flatten, summand_towers, times_copies,
                      NO_TOWER_FORM, OMEGA_COPIES)
 from .matrices import (IntMatrix, RatMatrix, SingularMatrixError,
@@ -152,14 +152,14 @@ def check_witness(w: Witness) -> bool:
 class UnitaryInvariant:
     """alpha = |torsion| and the alpha-fold amplified torsion-free quotient."""
 
-    alpha: Cardinal
+    alpha: Copies
     amplified: FreePart
 
 
-def _type_counts(s: Summands) -> dict[TypeClass, object]:
-    """Canonical type -> multiplicity (int or omega) map, the free rank
-    counted as copies of the zero type."""
-    counts: dict[TypeClass, object] = {}
+def _type_counts(s: Summands) -> dict[TypeClass, Copies]:
+    """Canonical type -> multiplicity map, the free rank counted as copies
+    of the zero type."""
+    counts: dict[TypeClass, Copies] = {}
     for sup, c in s.types.items():
         tc = TypeClass(sup)
         counts[tc] = add_copies(counts.get(tc, 0), c)
@@ -168,27 +168,33 @@ def _type_counts(s: Summands) -> dict[TypeClass, object]:
     return counts
 
 
-def amplify(f: FreePart, alpha: Cardinal) -> FreePart:
+def torsion_cardinal(t: TorsionDesc) -> Copies:
+    """Size of the torsion subgroup as a count: its order (1 for the
+    trivial group) or omega."""
+    return OMEGA_COPIES if t.is_countably_infinite else t.finite.order()
+
+
+def amplify(f: FreePart, alpha: Copies) -> FreePart:
     """The alpha-fold direct sum, in canonical form: every multiplicity
     times alpha.  Free summands are a rank for finite alpha and the zero
     type with multiplicity omega for alpha = omega.
     """
-    if alpha.value == 1:
+    check_copies(alpha)
+    if alpha == 1:
         return f
-    n = OMEGA_COPIES if alpha.is_omega else alpha.value
     s = flatten(f)
-    types = {sup: times_copies(c, n) for sup, c in s.types.items()}
+    types = {sup: times_copies(c, alpha) for sup, c in s.types.items()}
+    free = times_copies(s.free_rank, alpha) if s.free_rank else 0
     parts: list[FreePart] = []
-    if s.free_rank and alpha.is_omega:
-        types[ZERO_CHARACTERISTIC] = OMEGA_COPIES
-    elif s.free_rank:
-        parts.append(FreeOfRank(n * s.free_rank))
+    if free == OMEGA_COPIES:
+        types[ZERO_CHARACTERISTIC] = free
+    elif free:
+        parts.append(FreeOfRank(free))
     if types:
-        parts.append(CompletelyDecomposable(
-            tuple(sorted(((TypeClass(sup), c) for sup, c in types.items()),
-                         key=lambda x: sorted(x[0].representative
-                                              .infinite_support())))))
-    parts.extend(TowerForm(t, times_copies(c, n))
+        parts.append(CompletelyDecomposable(tuple(sorted(
+            ((TypeClass(sup), c) for sup, c in types.items()),
+            key=lambda x: x[0]))))
+    parts.extend(TowerForm(t, times_copies(c, alpha))
                  for t, c in s.towers.items())
     return direct_sum_of(parts) if parts else FreeOfRank(0)
 
@@ -250,9 +256,8 @@ def _tower_multiset(f: FreePart, copies: int) -> Counter:
 
 
 def _format_counts(counts: dict) -> str:
-    bits = [f"{tc} x {mult}" for tc, mult in
-            sorted(counts.items(),
-                   key=lambda x: sorted(x[0].representative.infinite_support()))]
+    bits = [f"{tc} x {mult}"
+            for tc, mult in sorted(counts.items(), key=lambda x: x[0])]
     return "{" + ", ".join(bits) + "}" if bits else "{}"
 
 
@@ -348,15 +353,14 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
 def compare_unitary(d1: AbGroupDesc, d2: AbGroupDesc,
                     witnesses=()) -> Verdict:
     """Compare unitary groups of the two group C*-algebras."""
-    a1, a2 = torsion_cardinal(d1.torsion), torsion_cardinal(d2.torsion)
-    if a1 != a2:
+    u1, u2 = unitary_invariant(d1), unitary_invariant(d2)
+    if u1.alpha != u2.alpha:
         return Verdict(
             "verdict", NOT_ISOMORPHIC,
-            f"torsion subgroup cardinality {a1} vs {a2}")
-    res = compare_free_parts(amplify(d1.free, a1), amplify(d2.free, a2),
-                              witnesses)
-    return replace(res,
-                   evidence=f"alpha = {a1}; amplified parts: {res.evidence}")
+            f"torsion subgroup cardinality {u1.alpha} vs {u2.alpha}")
+    res = compare_free_parts(u1.amplified, u2.amplified, witnesses)
+    return replace(res, evidence=f"alpha = {u1.alpha}; amplified parts: "
+                                 f"{res.evidence}")
 
 
 def compare_k1(d1: AbGroupDesc, d2: AbGroupDesc,

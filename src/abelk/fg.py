@@ -1,9 +1,10 @@
 """Finitely generated abelian groups in invariant-factor form.
 
-Also hosts the torsion descriptors and cardinals used by the unitary-group
-invariant: a torsion subgroup is either a concrete finite group or an
-unstructured countably infinite one (finer structure of infinite torsion is
-deliberately not modeled; only the cardinal matters downstream).
+Also hosts the torsion descriptor used by the unitary-group invariant: a
+torsion subgroup is either a concrete finite group or an unstructured
+countably infinite one (finer structure of infinite torsion is deliberately
+not modeled; only its cardinal, compare.torsion_cardinal, matters
+downstream).
 """
 
 from __future__ import annotations
@@ -86,39 +87,3 @@ class TorsionDesc:
 
     def __str__(self):
         return "countable" if self.finite is None else str(self.finite)
-
-
-@dataclass(frozen=True)
-class Cardinal:
-    """Fin(n >= 1) or Omega (countably infinite)."""
-
-    value: int | None = None  # None means omega
-
-    def __post_init__(self):
-        if self.value is not None and self.value < 1:
-            raise ValueError("finite cardinal must be >= 1")
-
-    @property
-    def is_omega(self) -> bool:
-        return self.value is None
-
-    @staticmethod
-    def fin(n: int) -> "Cardinal":
-        return Cardinal(n)
-
-    @staticmethod
-    def omega() -> "Cardinal":
-        return Cardinal(None)
-
-    def __str__(self):
-        return "omega" if self.value is None else str(self.value)
-
-
-OMEGA = Cardinal.omega()
-
-
-def torsion_cardinal(t: TorsionDesc) -> Cardinal:
-    """Cardinality of the torsion subgroup; the trivial group counts as 1."""
-    if t.is_countably_infinite:
-        return OMEGA
-    return Cardinal.fin(max(1, t.finite.order()))

@@ -23,8 +23,9 @@ OMEGA_COPIES = "omega"  # the countably infinite multiplicity
 Copies = Union[int, str]  # a positive int or OMEGA_COPIES
 
 
-def _check_copies(copies: Copies) -> None:
-    if copies != OMEGA_COPIES and (not isinstance(copies, int) or copies < 1):
+def check_copies(copies: Copies) -> None:
+    """Reject anything but a positive int (bool is not a count) or omega."""
+    if copies != OMEGA_COPIES and (type(copies) is not int or copies < 1):
         raise ValueError("multiplicities must be >= 1 or omega")
 
 
@@ -74,7 +75,7 @@ class CompletelyDecomposable:
         if not self.parts:
             raise ValueError("empty completely decomposable descriptor")
         for _, mult in self.parts:
-            _check_copies(mult)
+            check_copies(mult)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class TowerForm:
     copies: Copies = 1
 
     def __post_init__(self):
-        _check_copies(self.copies)
+        check_copies(self.copies)
         defects = validate_tower(self.tower)
         if defects:
             raise ValueError("invalid tower: " + "; ".join(defects))

@@ -12,7 +12,8 @@ sum is the tensor product of the summands' exterior algebras: a K-group
 folds them as counts keyed by (degree mod 2, tensor factors), free part
 first and then in flatten order.  Each exterior power of each distinct
 summand tower is built once, from one all-orders compound pass per
-connecting matrix, and each distinct tensor product once, with its count.
+connecting matrix, and each distinct tensor product once, with its count
+and its factors sorted by summand.
 
 An exterior power or tensor product inherits from the towers it is built
 from the three invariants a comparison reads, none of them computed on a
@@ -127,13 +128,17 @@ def _k_group(f: FreePart, parity: int) -> KGroupDesc:
     if parity and 0 < rank <= 2:
         return f  # the only odd exterior power is the first
     # summands with structurally trivial towers join the free part; a
-    # factor (i, d) is powers[i][d], Lambda^d of the i-th other summand
-    free_rank, algebras, powers = s.free_rank, [], []
+    # factor (i, d) is powers[i][d], Lambda^d of the i-th other summand,
+    # and order[i] sorts that summand by rank, then prefix and period
+    free_rank, algebras, powers, order = s.free_rank, [], [], []
     for t, c in [*((rank1_tower_from_supernatural(sup), c)
                    for sup, c in s.types.items()), *s.towers.items()]:
         if _is_trivial_tower(t):
             free_rank += c * t.rank
-        elif t.rank == 1:
+            continue
+        order.append((t.rank, [m.entries for m in t.prefix],
+                      [m.entries for m in t.period]))
+        if t.rank == 1:
             algebras.append(_rank1_algebra(((len(powers), 1),), c))
             powers.append((Tower.free(1), t))
         else:
@@ -153,7 +158,11 @@ def _k_group(f: FreePart, parity: int) -> KGroupDesc:
     for (p, key), n in terms.items():
         if p != parity:
             continue
-        factors = [powers[i][d] for i, d in key]
+        # Kronecker factors in the order of their summands, so equal
+        # products are equal towers whatever order the summands came in;
+        # permuting factors conjugates each stage by one permutation
+        factors = [powers[i][d]
+                   for i, d in sorted(key, key=lambda x: (order[x[0]], x[1]))]
         t = (tensor_towers(factors) if len(factors) > 1
              else factors[0] if factors else Tower.free(1))
         if _is_trivial_tower(t):

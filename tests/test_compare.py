@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from abelk import (AbGroupDesc, Cardinal, CompletelyDecomposable,
+from abelk import (AbGroupDesc, CompletelyDecomposable,
                    DimensionMismatchError, FgAbGroup, FreeOfRank, INF,
                    IntMatrix, RatMatrix, Rank1, SingularWitnessError,
                    Supernatural, TorsionDesc, Tower, TowerForm, TypeClass,
@@ -14,11 +14,12 @@ from abelk import (AbGroupDesc, Cardinal, CompletelyDecomposable,
                    rank1_tower_from_supernatural, unitary_invariant)
 from abelk import compare
 from abelk.gallery import default_pair_config
-from abelk.groups import OMEGA_COPIES, flatten, summand_towers
+from abelk.groups import (OMEGA_COPIES, flatten, summand_towers,
+                          times_copies)
 from abelk.matrices import compound_matrix
 from abelk.towers import characteristic, mod_p_rank, unit_element
 
-from conftest import rand_tower
+from conftest import rand_tower, unimodular_pair
 
 TAU2 = TypeClass(Supernatural.of({2: INF}))
 TAU3 = TypeClass(Supernatural.of({3: INF}))
@@ -31,17 +32,17 @@ def rank1_of(sup_dict):
 class TestAmplify:
     def test_finite_multiplies(self):
         f = direct_sum_of([FreeOfRank(1), rank1_of({2: INF})])
-        s = flatten(amplify(f, Cardinal.fin(3)))
+        s = flatten(amplify(f, 3))
         assert s.free_rank == 3
         assert s.types == {TAU2.representative: 3}
 
     def test_one_is_identity(self):
         f = rank1_of({2: INF})
-        assert amplify(f, Cardinal.fin(1)) == f
+        assert amplify(f, 1) == f
 
     def test_omega_erases_multiplicity(self):
-        f1 = amplify(FreeOfRank(1), Cardinal.omega())
-        f2 = amplify(FreeOfRank(5), Cardinal.omega())
+        f1 = amplify(FreeOfRank(1), OMEGA_COPIES)
+        f2 = amplify(FreeOfRank(5), OMEGA_COPIES)
         assert f1 == f2
         s = flatten(f1)
         assert s.free_rank == 0 and s.types == {Supernatural(): OMEGA_COPIES}
@@ -49,18 +50,18 @@ class TestAmplify:
     def test_omega_towers_deduplicated(self):
         t = Tower(2, (), (IntMatrix.from_rows([[2, 15], [1, 2]]),))
         f = direct_sum_of([TowerForm(t), TowerForm(t)])
-        s = flatten(amplify(f, Cardinal.omega()))
+        s = flatten(amplify(f, OMEGA_COPIES))
         assert s.towers == {t: OMEGA_COPIES}
 
     def test_trivial_group_stays_trivial(self):
-        assert amplify(FreeOfRank(0), Cardinal.omega()) == FreeOfRank(0)
+        assert amplify(FreeOfRank(0), OMEGA_COPIES) == FreeOfRank(0)
 
 
 class TestUnitaryInvariant:
     def test_alpha_is_torsion_cardinal(self):
         g = AbGroupDesc(TorsionDesc(FgAbGroup(0, (2, 4))), FreeOfRank(1))
         inv = unitary_invariant(g)
-        assert inv.alpha == Cardinal.fin(8)
+        assert inv.alpha == 8
         assert flatten(inv.amplified).free_rank == 8
 
 
@@ -279,12 +280,17 @@ class TestCompareGroups:
         g2 = AbGroupDesc(TorsionDesc(FgAbGroup(0, (2, 2))), FreeOfRank(1))
         assert compare_unitary(g1, g2).verdict == "isomorphic"
 
-
-def omega_times(a, b):
-    """Cardinal product, omega absorbing."""
-    if a.is_omega or b.is_omega:
-        return Cardinal.omega()
-    return Cardinal.fin(a.value * b.value)
+    def test_k1_does_not_depend_on_summand_order(self):
+        # K1 holds Lambda^1 t (x) Lambda^1 u (x) Lambda^1 v; its Kronecker
+        # factors come in one order of the summands, so the two sides
+        # cancel structurally
+        t, u, v = (TowerForm(Tower(2, (), (IntMatrix.from_rows(m),)))
+                   for m in ([[2, 15], [1, 2]], [[3, 1], [1, 2]],
+                             [[1, 7], [2, 3]]))
+        g1 = AbGroupDesc.torsion_free(direct_sum_of([t, u, v]))
+        g2 = AbGroupDesc.torsion_free(direct_sum_of([v, u, t]))
+        assert compare_unitary(g1, g2).verdict == "isomorphic"
+        assert compare_k1(g1, g2).verdict == "isomorphic"
 
 
 def rand_parts(rng, cfg):
@@ -371,6 +377,20 @@ class TestMultiplicityCounts:
         assert (describe(TowerForm(t, OMEGA_COPIES))
                 == "omega copies of rank-2 tower group")
 
+    def test_only_counts_are_multiplicities(self):
+        # a bool is an int to isinstance, but never a count
+        t = default_pair_config().gamma1
+        f = TowerForm(t)
+        for bad in (True, False, 0):
+            with pytest.raises(ValueError):
+                TowerForm(t, bad)
+            with pytest.raises(ValueError):
+                CompletelyDecomposable(((TAU2, bad),))
+            with pytest.raises(ValueError):
+                amplify(f, bad)
+        with pytest.raises(ValueError):
+            amplify(f, "many")
+
     def test_amplify_is_the_repeated_direct_sum(self):
         rng = random.Random(97)
         cfg = default_pair_config()
@@ -381,8 +401,7 @@ class TestMultiplicityCounts:
             f1, f2 = rand_pair(rng, cfg)
             ws = (fuchs,) if rng.random() < 0.5 else ()
             n = rng.choice([2, 3])
-            by_counts = compare_free_parts(amplify(f1, Cardinal.fin(n)),
-                                           amplify(f2, Cardinal.fin(n)), ws)
+            by_counts = compare_free_parts(amplify(f1, n), amplify(f2, n), ws)
             by_copies = compare_free_parts(direct_sum_of([f1] * n),
                                            direct_sum_of([f2] * n), ws)
             assert by_counts == by_copies, (f1, f2, n)
@@ -395,7 +414,7 @@ class TestMultiplicityCounts:
         cfg = default_pair_config()
         for _ in range(30):
             f, n = direct_sum_of(rand_parts(rng, cfg)), rng.choice([2, 3])
-            s = flatten(amplify(f, Cardinal.fin(n)))
+            s = flatten(amplify(f, n))
             listed = summand_towers(direct_sum_of([f] * n))
             assert s.finite_rank() == sum(t.rank for t in listed)
             for p in compare._relevant_primes(s):
@@ -428,12 +447,65 @@ class TestMultiplicityCounts:
     def test_amplify_composes(self):
         rng = random.Random(101)
         cfg = default_pair_config()
-        alphas = [Cardinal.fin(1), Cardinal.fin(2), Cardinal.fin(3),
-                  Cardinal.omega()]
+        alphas = [1, 2, 3, OMEGA_COPIES]
         for _ in range(30):
             f = direct_sum_of(rand_parts(rng, cfg))
             for m in alphas:
                 for n in alphas:
                     assert (flatten(amplify(amplify(f, m), n))
-                            == flatten(amplify(f, omega_times(m, n)))), \
+                            == flatten(amplify(f, times_copies(m, n)))), \
                         (f, m, n)
+
+
+def conjugated(t, rng):
+    """t with every stage matrix conjugated by one random unimodular U:
+    U carries the stage-s lattice of t onto that of the result, so the
+    two groups are isomorphic."""
+    u, inv = unimodular_pair(rng, t.rank)
+    return Tower(t.rank, tuple(u @ m @ inv for m in t.prefix),
+                 tuple(u @ m @ inv for m in t.period))
+
+
+TORSIONS = (TorsionDesc.trivial(), TorsionDesc(FgAbGroup(0, (2, 6))),
+            TorsionDesc.countably_infinite())
+
+
+class TestMetamorphic:
+    """Verdicts under changes that keep the isomorphism type."""
+
+    def test_change_of_basis_never_separates(self):
+        rng = random.Random(107)
+        for _ in range(150):
+            t = rand_tower(rng, rng.randint(2, 4), 2, 2)
+            a, b = TowerForm(t), TowerForm(conjugated(t, rng))
+            tors = rng.choice(TORSIONS)
+            for res in (compare_free_parts(a, b),
+                        compare_k1(AbGroupDesc.torsion_free(a),
+                                   AbGroupDesc.torsion_free(b)),
+                        compare_unitary(AbGroupDesc(tors, a),
+                                        AbGroupDesc(tors, b))):
+                assert res.verdict != "not_isomorphic", (t, res)
+
+    def test_adding_z_keeps_the_verdict(self):
+        # not asserted for K1: K1(G (+) Z) = K1(G) (+) K0(G); nor for
+        # countable torsion, where Z (+) Z^(omega) = Z^(omega) turns Z^2
+        # against 0 from not_isomorphic into isomorphic
+        rng = random.Random(109)
+        cfg = default_pair_config()
+        fuchs = Witness(cfg.witness_copies, cfg.witness_map,
+                        TowerForm(cfg.gamma1), TowerForm(cfg.gamma2),
+                        name="squares")
+        z = FreeOfRank(1)
+        for i in range(400):
+            f1, f2 = rand_pair(rng, cfg)
+            ws = (fuchs,) if rng.random() < 0.5 else ()
+            plus1, plus2 = direct_sum_of([f1, z]), direct_sum_of([f2, z])
+            assert (compare_free_parts(f1, f2, ws).verdict
+                    == compare_free_parts(plus1, plus2, ws).verdict), (f1, f2)
+            if i % 2:
+                continue
+            tors = rng.choice(TORSIONS[:2])
+            g1, g2 = AbGroupDesc(tors, f1), AbGroupDesc(tors, f2)
+            h1, h2 = AbGroupDesc(tors, plus1), AbGroupDesc(tors, plus2)
+            assert (compare_unitary(g1, g2, ws).verdict
+                    == compare_unitary(h1, h2, ws).verdict), (f1, f2, tors)
