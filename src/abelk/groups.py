@@ -11,7 +11,6 @@ TowerForm(t, copies).  flatten reads a free part as one such multiset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .fg import TorsionDesc
 from .towers import (Supernatural, Tower, TypeClass,
@@ -20,7 +19,7 @@ from .towers import (Supernatural, Tower, TypeClass,
 
 OMEGA_COPIES = "omega"  # the countably infinite multiplicity
 
-Copies = Union[int, str]  # a positive int or OMEGA_COPIES
+Copies = int | str  # a positive int or OMEGA_COPIES
 
 
 def check_copies(copies: Copies) -> None:
@@ -102,8 +101,11 @@ class DirectSum:
             raise ValueError("empty direct sum")
 
 
-FreePart = Union[FreeOfRank, Rank1, CompletelyDecomposable, TowerForm,
-                 DirectSum]
+# PEP 604 unions, not typing.Union: typing caches every Union it makes,
+# which would keep these classes, and with them this module, alive after
+# abelk is dropped from sys.modules and imported again
+FreePart = (FreeOfRank | Rank1 | CompletelyDecomposable | TowerForm
+            | DirectSum)
 
 # K-group results are the same symbolic shapes
 KGroupDesc = FreePart

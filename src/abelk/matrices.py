@@ -92,6 +92,9 @@ class IntMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
             for row in self.entries))
 
+    def __neg__(self) -> "IntMatrix":
+        return IntMatrix(tuple(tuple(-x for x in row) for row in self.entries))
+
     def apply(self, vec) -> tuple[int, ...]:
         """Matrix-vector product."""
         if self.cols != len(vec):

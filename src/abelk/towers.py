@@ -103,9 +103,24 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tower:
-    """Eventually-periodic inductive system of full-rank integer matrices."""
+    """Eventually-periodic inductive system of full-rank integer matrices.
+
+    Towers hash on their rank, stage counts (prefix length, period length)
+    and connecting determinants, and are equal exactly when their entries
+    are, so equal towers hash equal.  Equality looks at the entries only
+    after rank, stage counts and determinants agree, and two exterior
+    powers Lambda^k of towers of one rank not even then (_same_recipe).
+
+    A tower built from others (an exterior power of _wedge_towers, a
+    tensor product) makes its entries on first read of prefix or period:
+    by stage_matrix, transition, period_product, the p-heights and
+    membership walks, or an equality that the towers it is built from do
+    not settle.  Its rank, stage counts and connecting determinants, its
+    p-ranks and determinant primes, hashing, _is_trivial_tower and
+    validate_tower read no entries (see _built_from).
+    """
 
     rank: int
     prefix: tuple[IntMatrix, ...] = ()
@@ -138,22 +153,44 @@ class Tower:
         return self._period_product
 
     # Set by _built_from on a tower built from others (an exterior power,
-    # a tensor product): its p-rank as a function of p, and its
-    # determinant primes as a function of nothing, both read off the
-    # towers it is built from.  Class attributes, not fields.
+    # a tensor product): its p-rank as a function of p, its determinant
+    # primes and its scalar stages as functions of nothing, all read off
+    # the towers it is built from; and, by _wedge_towers, the base tower
+    # and k of an exterior power Lambda^k.  Class attributes, not fields.
     _p_rank_rule = None
     _primes_rule = None
+    _scalars_rule = None
+    _wedge_of = None
 
     # Per-object caches: cached_property stores into the instance dict,
     # which a frozen dataclass leaves writable and keeps out of ==/hash.
-    # Towers are dict keys of the summand counts (groups.flatten): hash the
-    # matrices once.  dataclass keeps an explicit __hash__.
+    # Towers are dict keys of the summand counts (groups.flatten): hash
+    # them once.
     def __hash__(self):
         return self._hash
 
     @functools.cached_property
     def _hash(self) -> int:
-        return hash((self.rank, self.prefix, self.period))
+        return hash((self.rank, self.stage_counts, self.connecting_dets))
+
+    def __eq__(self, other):
+        if not isinstance(other, Tower):
+            return NotImplemented
+        if self is other:
+            return True
+        if (self.rank != other.rank or self.stage_counts != other.stage_counts
+                or self.connecting_dets != other.connecting_dets):
+            return False
+        same = _same_recipe(self, other)
+        if same is not None:
+            return same
+        return self.prefix == other.prefix and self.period == other.period
+
+    @functools.cached_property
+    def stage_counts(self) -> tuple[int, int]:
+        """(prefix length, period length); set, not counted, on a tower
+        built from others."""
+        return len(self.prefix), len(self.period)
 
     @functools.cached_property
     def _period_product(self) -> IntMatrix:
@@ -197,15 +234,53 @@ class Tower:
         return {}
 
 
-def _built_from(t: Tower, dets, p_rank, primes) -> Tower:
+class _LazyTower(Tower):
+    """A tower built from others whose entries build() makes, as (prefix,
+    period), on first read.  Its rank and stage counts are given, and
+    _built_from sets what it inherits."""
+
+    def __init__(self, rank: int, stage_counts: tuple[int, int], build,
+                 **recipe):
+        self.__dict__.update(rank=rank, stage_counts=stage_counts,
+                             _build=build, **recipe)
+
+    @functools.cached_property
+    def _entries(self) -> tuple[tuple[IntMatrix, ...], tuple[IntMatrix, ...]]:
+        prefix, period = self._build()
+        return tuple(prefix), tuple(period)
+
+    prefix = property(lambda self: self._entries[0])
+    period = property(lambda self: self._entries[1])
+
+
+def _built_from(t: Tower, dets, p_rank, primes, scalars=None) -> Tower:
     """t, built from other towers, with what it inherits from them set
     instead of computed: its connecting determinants dets (prefix then
-    period), p_rank(p) for mod_p_rank and primes() for
-    determinant_primes.  Each must give exactly what t would compute
-    directly."""
+    period), p_rank(p) for mod_p_rank, primes() for determinant_primes
+    and, where given, scalars() for _stage_scalars.  Each must give
+    exactly what t would compute directly."""
     t.__dict__.update(connecting_dets=tuple(dets), _p_rank_rule=p_rank,
-                      _primes_rule=primes)
+                      _primes_rule=primes, _scalars_rule=scalars)
     return t
+
+
+def _same_recipe(s: Tower, t: Tower) -> bool | None:
+    """s == t, for towers of equal rank, stage counts and determinants,
+    decided from the towers they are built from; None when those do not
+    settle it.
+
+    For 1 <= k <= n - 1 the kernel of Lambda^k on GL_n is {c I : c^k = 1},
+    so Lambda^k A == Lambda^k B iff B = A, or B = -A with k even: two
+    k-th exterior powers of rank-n towers are equal iff each stage pair
+    of their bases is.  Any other pair compares entries.
+    """
+    if s._wedge_of and t._wedge_of:
+        (a, k), (b, j) = s._wedge_of, t._wedge_of
+        if k == j and a.rank == b.rank:
+            return all(m == n or (k % 2 == 0 and m == -n)
+                       for m, n in zip(a.prefix + a.period,
+                                       b.prefix + b.period))
+    return None
 
 
 @dataclass(frozen=True)
@@ -221,20 +296,26 @@ class GroupElement:
 
 
 def validate_tower(t: Tower) -> list[str]:
-    """Empty list when well-formed; otherwise human-readable defects."""
+    """Empty list when well-formed; otherwise human-readable defects.
+
+    A tower built from others has the right shape by construction, so only
+    its derived determinants are checked, and no entry is built."""
     defects = []
     if t.rank < 1:
         defects.append(f"rank must be >= 1, got {t.rank}")
         return defects
-    mats = t.prefix + t.period
-    shaped = [m.rows == t.rank and m.cols == t.rank for m in mats]
+    a = t.stage_counts[0]
+    misshaped = {} if isinstance(t, _LazyTower) else {
+        i: m for i, m in enumerate(t.prefix + t.period)
+        if (m.rows, m.cols) != (t.rank, t.rank)}
     # the cached determinants only when all of them exist
-    dets = (t.connecting_dets if all(shaped)
-            else [m.det() if ok else None for m, ok in zip(mats, shaped)])
-    for i, (m, d) in enumerate(zip(mats, dets)):
-        kind, j = (("prefix", i) if i < len(t.prefix)
-                   else ("period", i - len(t.prefix)))
-        if d is None:
+    dets = (t.connecting_dets if not misshaped
+            else [None if i in misshaped else m.det()
+                  for i, m in enumerate(t.prefix + t.period)])
+    for i, d in enumerate(dets):
+        kind, j = ("prefix", i) if i < a else ("period", i - a)
+        if i in misshaped:
+            m = misshaped[i]
             defects.append(f"{kind}[{j}] is {m.rows}x{m.cols}, "
                            f"expected {t.rank}x{t.rank}")
         elif d == 0:
@@ -492,25 +573,55 @@ def rank1_tower_from_supernatural(s: Supernatural) -> Tower:
     return Tower(1, prefix, period)
 
 
-def _stagewise(towers, combine) -> Tower:
-    """Tower whose stage-s map is combine folded over the summands'
-    stage-s maps, for s below the longest prefix plus the lcm of the
-    period lengths (an empty period counts as length 1)."""
-    a = max(len(t.prefix) for t in towers)
-    b = math.lcm(*(len(t.period) or 1 for t in towers))
+def _stage_counts(towers) -> tuple[int, int]:
+    """Stage counts of a stage-by-stage combination of towers: the longest
+    prefix and the lcm of the period lengths (an empty period counts as
+    length 1)."""
+    return (max(t.stage_counts[0] for t in towers),
+            math.lcm(*(t.stage_counts[1] or 1 for t in towers)))
+
+
+def _stagewise(towers, combine):
+    """(prefix, period) of the tower whose stage-s map is combine folded
+    over the towers' stage-s maps, in _stage_counts(towers) stages."""
+    a, b = _stage_counts(towers)
     maps = [functools.reduce(combine, (t.stage_matrix(s) for t in towers))
             for s in range(a + b)]
-    return Tower(maps[0].rows, tuple(maps[:a]), tuple(maps[a:]))
+    return tuple(maps[:a]), tuple(maps[a:])
+
+
+def _stage_index(t: Tower, s: int) -> int | None:
+    """Index of t.stage_matrix(s) in t.prefix + t.period, from the stage
+    counts; None past the prefix of an empty period (the identity)."""
+    a, b = t.stage_counts
+    if s < a:
+        return s
+    return a + (s - a) % b if b else None
 
 
 def _stage_det(t: Tower, s: int) -> int:
     """det(t.stage_matrix(s)), from the cached connecting determinants."""
-    a = len(t.prefix)
-    if s < a:
-        return t.connecting_dets[s]
-    if not t.period:
-        return 1
-    return t.connecting_dets[a + (s - a) % len(t.period)]
+    i = _stage_index(t, s)
+    return 1 if i is None else t.connecting_dets[i]
+
+
+def _stage_scalar(t: Tower, s: int) -> int | None:
+    """c when t.stage_matrix(s) is c times the identity for c = +-1, else
+    None (see _stage_scalars)."""
+    i = _stage_index(t, s)
+    return 1 if i is None else _stage_scalars(t)[i]
+
+
+def _stage_scalars(t: Tower) -> tuple[int | None, ...]:
+    """For each connecting matrix of t, prefix then period: c when it is
+    c times the identity for c = +-1, else None.  A tower built from
+    others reads them off the towers it is built from (_built_from)."""
+    if t._scalars_rule is not None:
+        return t._scalars_rule()
+    ident = IntMatrix.identity(t.rank)
+    minus = -ident
+    return tuple(1 if m == ident else -1 if m == minus else None
+                 for m in t.prefix + t.period)
 
 
 def direct_sum_towers(towers) -> Tower:
@@ -520,27 +631,31 @@ def direct_sum_towers(towers) -> Tower:
         raise ValueError("direct sum of no towers")
     if len(towers) == 1:
         return towers[0]
-    t = _stagewise(towers, IntMatrix.block_diag)
-    if all(m == IntMatrix.identity(t.rank) for m in t.period):
-        return Tower(t.rank, t.prefix)
-    return t
+    rank = sum(t.rank for t in towers)
+    prefix, period = _stagewise(towers, IntMatrix.block_diag)
+    if all(m == IntMatrix.identity(rank) for m in period):
+        return Tower(rank, prefix)
+    return Tower(rank, prefix, period)
 
 
 def _is_trivial_tower(t: Tower) -> bool:
     """Whether every connecting matrix is the identity.  A connecting
     determinant other than 1 (-I of odd rank has det -1) settles it from
-    the cached determinants, with no identity matrix built."""
+    the cached determinants, with no identity matrix built; otherwise the
+    scalar stages decide it, read off the towers that a tower built from
+    others is built from, so its entries are not built."""
     if any(d != 1 for d in t.connecting_dets):
         return False
-    ident = IntMatrix.identity(t.rank)
-    return all(m == ident for m in t.prefix + t.period)
+    return all(c == 1 for c in _stage_scalars(t))
 
 
 def tensor_towers(towers) -> Tower:
-    """Tower of the tensor product: Kronecker products stage by stage.
+    """Tower of the tensor product: Kronecker products stage by stage,
+    built on first read.
 
-    The product inherits its connecting determinants, p-ranks and
-    determinant primes from its factors (see _built_from).
+    The product inherits its connecting determinants, p-ranks,
+    determinant primes and scalar stages from its factors (see
+    _built_from): A (x) B is c I iff A = a I and B = b I with ab = c.
     """
     towers = [t for t in towers]
     if not towers:
@@ -552,16 +667,25 @@ def tensor_towers(towers) -> Tower:
         return Tower.free(1)
     if len(nontrivial) == 1:
         return nontrivial[0]
-    t = _stagewise(nontrivial, IntMatrix.kron)
+    rank = math.prod(f.rank for f in nontrivial)
+    counts = _stage_counts(nontrivial)
+    stages = range(sum(counts))
+
+    def scalar(s):
+        cs = [_stage_scalar(f, s) for f in nontrivial]
+        return None if None in cs else math.prod(cs)
+
     # det(A (x) B) = det(A)^rank(B) * det(B)^rank(A), for any number of
     # factors: each determinant to the product of the other ranks
     return _built_from(
-        t,
-        (math.prod(_stage_det(f, s) ** (t.rank // f.rank) for f in nontrivial)
-         for s in range(len(t.prefix) + len(t.period))),
+        _LazyTower(rank, counts,
+                   lambda: _stagewise(nontrivial, IntMatrix.kron)),
+        (math.prod(_stage_det(f, s) ** (rank // f.rank) for f in nontrivial)
+         for s in stages),
         lambda p: math.prod(mod_p_rank(f, p) for f in nontrivial),
         lambda: frozenset().union(*(f.determinant_primes()
-                                    for f in nontrivial)))
+                                    for f in nontrivial)),
+        lambda: tuple(scalar(s) for s in stages))
 
 
 def _reduce(m: IntMatrix, n: int) -> IntMatrix:

@@ -11,13 +11,16 @@ wedge of a tower is the tower of compound matrices.  Lambda of a direct
 sum is the tensor product of the summands' exterior algebras: a K-group
 folds them as counts keyed by (degree mod 2, tensor factors), free part
 first and then in flatten order.  Each exterior power of each distinct
-summand tower is built once, from one all-orders compound pass per
-connecting matrix, and each distinct tensor product once, with its count
-and its factors sorted by summand.
+summand tower is made once, and each distinct tensor product once, with
+its count and its factors sorted by summand.  Their entries are built on
+first read, from one all-orders compound pass per connecting matrix of
+the summand.  k1 and k0 never read them, and compare_k1 only to tell
+apart two tensor products of equal rank, stage counts and determinants.
 
 An exterior power or tensor product inherits from the towers it is built
 from the three invariants a comparison reads, none of them computed on a
-compound or Kronecker matrix:
+compound or Kronecker matrix (equality, hashing and triviality come from
+the bases and the determinants too; see towers.Tower):
 
 * connecting determinants: det Lambda^k A = det(A)^C(n-1, k-1)
   (Sylvester-Franke) and det(A (x) B) = det(A)^rank B * det(B)^rank A;
@@ -35,6 +38,7 @@ summand tower of the input, at its own rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -45,39 +49,63 @@ from .matrices import (IntMatrix, binomial, compound_determinant,
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
                      FreePart, KGroupDesc, Rank1, TowerForm, direct_sum_of,
                      flatten)
-from .towers import (Tower, TypeClass, _built_from, _is_trivial_tower,
-                     is_divisible, mod_p_rank, rank1_tower_from_supernatural,
+from .towers import (Tower, TypeClass, _LazyTower, _built_from,
+                     _is_trivial_tower, _stage_scalars, is_divisible,
+                     mod_p_rank, rank1_tower_from_supernatural,
                      stable_period_power, tensor_towers, tower_type,
                      unit_element)
 
 
-def _wedge_tower(t: Tower, k: int, prefix, period) -> Tower:
-    """The k-th exterior power of t from its compound matrices.  It
-    inherits from t the connecting determinants det^C(rank - 1, k - 1)
-    (Sylvester-Franke), the p-ranks C(mod_p_rank(t, p), k) and, for
-    k >= 1, the determinant primes of t (none for k == 0)."""
+def _wedge_tower(t: Tower, k: int, w: Tower) -> Tower:
+    """w, the k-th exterior power of t, with what it inherits from t set:
+    the connecting determinants det^C(rank - 1, k - 1) (Sylvester-Franke),
+    the p-ranks C(mod_p_rank(t, p), k), for k >= 1 the determinant primes
+    of t (none for k == 0) and, for 1 <= k <= rank - 1, the scalar
+    stages c^k of t's scalar stages c: there Lambda^k A is a multiple of
+    the identity only when A is."""
     return _built_from(
-        Tower(binomial(t.rank, k), tuple(prefix), tuple(period)),
-        (compound_determinant(d, t.rank, k) for d in t.connecting_dets),
+        w, (compound_determinant(d, t.rank, k) for d in t.connecting_dets),
         lambda p: binomial(mod_p_rank(t, p), k),
-        t.determinant_primes if k else frozenset)
+        t.determinant_primes if k else frozenset,
+        (lambda: tuple(None if c is None else c ** k
+                       for c in _stage_scalars(t))) if 0 < k < t.rank
+        else None)
 
 
 def wedge_power_tower(t: Tower, k: int) -> Tower:
     """Tower of the k-th exterior power: compound matrices stage by stage."""
     if not 0 <= k <= t.rank:
         raise ValueError(f"wedge power {k} out of range for rank {t.rank}")
-    return _wedge_tower(t, k, (compound_matrix(m, k) for m in t.prefix),
-                        (compound_matrix(m, k) for m in t.period))
+    return _wedge_tower(t, k, Tower(
+        binomial(t.rank, k), tuple(compound_matrix(m, k) for m in t.prefix),
+        tuple(compound_matrix(m, k) for m in t.period)))
 
 
 def _wedge_towers(t: Tower) -> list[Tower]:
-    """wedge_power_tower(t, k) for every k = 0..rank, from one all-orders
-    compound pass per connecting matrix."""
-    pre = [compound_matrices(m) for m in t.prefix]
-    per = [compound_matrices(m) for m in t.period]
-    return [_wedge_tower(t, k, (c[k] for c in pre), (c[k] for c in per))
-            for k in range(t.rank + 1)]
+    """Towers equal to wedge_power_tower(t, k) for every k = 0..rank.
+
+    Lambda^0 is the rank-1 tower of ones, Lambda^1 is t and Lambda^rank
+    is _top_wedge(t).  Every other power holds only its recipe (t, k):
+    its entries are built on first read, from one all-orders compound
+    pass per connecting matrix of t shared by all of them.
+    """
+    a, b = t.stage_counts
+    one = IntMatrix.identity(1)
+
+    @functools.cache
+    def compounds():
+        return ([compound_matrices(m) for m in t.prefix],
+                [compound_matrices(m) for m in t.period])
+
+    def entries(k):
+        pre, per = compounds()
+        return [c[k] for c in pre], [c[k] for c in per]
+
+    powers = [_wedge_tower(t, 0, Tower(1, (one,) * a, (one,) * b)), t]
+    powers += [_wedge_tower(t, k, _LazyTower(
+        binomial(t.rank, k), (a, b), functools.partial(entries, k),
+        _wedge_of=(t, k))) for k in range(2, t.rank)]
+    return powers + [_top_wedge(t)] if t.rank > 1 else powers
 
 
 def _top_wedge(t: Tower) -> Tower:
@@ -86,8 +114,9 @@ def _top_wedge(t: Tower) -> Tower:
     def one_by_one(dets):
         return tuple(IntMatrix(((d,),)) for d in dets)
 
-    a, dets = len(t.prefix), t.connecting_dets
-    return _wedge_tower(t, t.rank, one_by_one(dets[:a]), one_by_one(dets[a:]))
+    a, dets = t.stage_counts[0], t.connecting_dets
+    return _wedge_tower(t, t.rank, Tower(1, one_by_one(dets[:a]),
+                                         one_by_one(dets[a:])))
 
 
 def _rank1_algebra(factors: tuple, copies: int) -> Counter:

@@ -1,5 +1,6 @@
 """Exterior powers, K-groups and the rank-2 divisibility equivalence."""
 
+import itertools
 import math
 import random
 import sys
@@ -15,6 +16,7 @@ from abelk import (AbGroupDesc, CompletelyDecomposable, DirectSum,
                    wedge_divisible_by_search, wedge_power_tower,
                    wedge_square_type, wedge_unit_divisible)
 from abelk import compare, towers, wedge
+from abelk.matrices import compound_matrix
 from abelk.groups import describe, flatten, summand_towers
 
 from conftest import (listed_k_group, naive_top_wedge_characteristic,
@@ -65,32 +67,55 @@ def sum_of_ranks_3_3_2(seed: int, conjugate=False) -> AbGroupDesc:
         direct_sum_of([TowerForm(t) for t in towers]))
 
 
+def kgroups_style_towers(seed: int, rank: int = 5):
+    """A rank-5 tower whose one period matrix is U diag(p, q, 1, ..) V
+    for unimodular U, V and det p * q, a unimodular conjugate of it, and
+    a tower built the same way whose determinant primes are disjoint."""
+    rng = random.Random(seed)
+
+    def mixed(*primes):
+        ds = list(primes) + [1] * (rank - len(primes))
+        (u, _), (v, _) = unimodular_pair(rng, rank), unimodular_pair(rng, rank)
+        return u @ IntMatrix.from_rows(
+            [[ds[i] if i == j else 0 for j in range(rank)]
+             for i in range(rank)]) @ v
+
+    a = mixed(1021, 1031)
+    w, w_inv = unimodular_pair(rng, rank)
+    return (Tower(rank, (), (a,)), Tower(rank, (), (w @ a @ w_inv,)),
+            Tower(rank, (), (mixed(1033, 1039),)))
+
+
+def refuse_compounds(monkeypatch):
+    def refused(*args):
+        raise AssertionError("compound matrix built")
+
+    monkeypatch.setattr(wedge, "compound_matrices", refused)
+    monkeypatch.setattr(wedge, "compound_matrix", refused)
+
+
 class TestWorkDone:
-    """k1, k0 and compare_k1 build each exterior power once and take no
-    determinant of a compound or tensor matrix."""
+    """k1, k0 and compare_k1 build no entries of an exterior power (an
+    entry read builds each power's entries once) and take no determinant
+    of a compound or tensor matrix."""
 
-    def test_one_all_orders_pass_per_connecting_matrix(self, monkeypatch):
+    def test_no_compound_in_a_k_group(self, monkeypatch):
         g = sum_of_ranks_3_3_2(71)
-        seen = []
-        kernel = wedge.compound_matrices
-
-        def counted(m):
-            seen.append(m)
-            return kernel(m)
-
-        def refused(*args):
-            raise AssertionError("single-order compound in a K-group")
-
-        monkeypatch.setattr(wedge, "compound_matrices", counted)
-        monkeypatch.setattr(wedge, "compound_matrix", refused)
-        mats = [m for t in summand_towers(g.free) for m in t.prefix + t.period]
+        refuse_compounds(monkeypatch)
         for kgroup in (k1, k0):
-            seen.clear()
             kgroup(g)
-            assert seen == mats
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_compound_in_compare_k1(self, monkeypatch, seed):
+        base, conj, disjoint = (AbGroupDesc.torsion_free(TowerForm(t))
+                                for t in kgroups_style_towers(seed))
+        refuse_compounds(monkeypatch)
+        assert compare_k1(base, conj).verdict in ("isomorphic", "unknown")
+        assert compare_k1(base, disjoint).verdict == "not_isomorphic"
 
     def test_one_pass_per_distinct_tower(self, monkeypatch):
-        # three copies of one tower: its exterior powers are built once
+        # three copies of one tower: the entries of all its exterior powers
+        # come from one all-orders pass per connecting matrix
         rng = random.Random(103)
         gamma = Tower(3, (rand_nonsingular(rng, 3, -3, 3),),
                       (rand_nonsingular(rng, 3, -3, 3),
@@ -106,7 +131,8 @@ class TestWorkDone:
         monkeypatch.setattr(wedge, "compound_matrices", counted)
         for kgroup in (k1, k0):
             seen.clear()
-            kgroup(g)
+            for t in flatten(kgroup(g)).towers:
+                assert len(t.period) == t.stage_counts[1]
             assert seen == list(gamma.prefix + gamma.period)
 
     def test_each_tensor_product_once(self, monkeypatch):
@@ -206,6 +232,97 @@ class TestWorkDone:
                 assert w.connecting_dets == wedge_power_tower(
                     t, k).connecting_dets
             assert wedge._top_wedge(t) == wedge_power_tower(t, t.rank)
+
+
+def entries_of_power(t: Tower, k: int):
+    return [compound_matrix(m, k) for m in t.prefix + t.period]
+
+
+class TestLazyEquality:
+    """Equality, hashing and triviality of exterior powers decided from
+    their bases, against the compound matrices."""
+
+    @staticmethod
+    def pairs(seed: int):
+        """(t, u) of ranks 3 and 4 with entries in {-1, 0, 1}: each stage
+        matrix of u is that of t, its negative or a random one."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.choice((3, 4))
+            counts = rng.choice(((0, 1), (1, 1), (1, 2)))
+            t = [rand_nonsingular(rng, n, -1, 1) for _ in range(sum(counts))]
+            u = [rng.choice((m, -m, rand_nonsingular(rng, n, -1, 1)))
+                 for m in t]
+            a = counts[0]
+            yield (Tower(n, tuple(t[:a]), tuple(t[a:])),
+                   Tower(n, tuple(u[:a]), tuple(u[a:])))
+
+    def test_equality_and_hash_agree_with_entries(self):
+        for t, u in self.pairs(151):
+            for k, (v, w) in enumerate(zip(wedge._wedge_towers(t),
+                                           wedge._wedge_towers(u))):
+                same = entries_of_power(t, k) == entries_of_power(u, k)
+                assert (v == w) == (w == v) == same, (t, u, k)
+                if same:
+                    assert hash(v) == hash(w)
+                # deciding it built no entries
+                assert "_entries" not in v.__dict__ | w.__dict__
+
+    def test_lazy_equals_eager_with_the_same_entries(self):
+        for t, _ in self.pairs(153):
+            for k, v in enumerate(wedge._wedge_towers(t)):
+                mats = entries_of_power(t, k)
+                a = len(t.prefix)
+                eager = Tower(v.rank, tuple(mats[:a]), tuple(mats[a:]))
+                assert hash(v) == hash(eager)
+                assert v == eager and eager == v
+
+    def test_trivial_powers_of_scalar_stages(self):
+        # stages +-I, and a determinant-1 shear that is no scalar
+        for n in (3, 4):
+            ident = IntMatrix.identity(n)
+            shear = IntMatrix.from_rows(
+                [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                 for i in range(n)])
+            for stages in itertools.product((ident, -ident, shear),
+                                            repeat=2):
+                t = Tower(n, stages[:1], stages[1:])
+                for k, v in enumerate(wedge._wedge_towers(t)):
+                    one = IntMatrix.identity(v.rank)
+                    assert (towers._is_trivial_tower(v) == all(
+                        m == one for m in entries_of_power(t, k))), (t, k)
+                    assert "_entries" not in v.__dict__
+
+    def test_trivial_tensor_products_of_scalar_stages(self):
+        # Lambda^k (+-I) (x) Lambda^j (I, then +-I'): the identity iff the
+        # signs multiply to 1 at both stages
+        signs = (1, -1)
+        for s, r, k, j in itertools.product(signs, signs, (1, 2), (1, 2, 3)):
+            t = Tower(3, (), (IntMatrix.identity(3) if s == 1
+                              else -IntMatrix.identity(3),))
+            u = Tower(4, (IntMatrix.identity(4),),
+                      (IntMatrix.identity(4) if r == 1
+                       else -IntMatrix.identity(4),))
+            prod = towers.tensor_towers([wedge._wedge_towers(t)[k],
+                                         wedge._wedge_towers(u)[j]])
+            trivial = towers._is_trivial_tower(prod)
+            assert "_entries" not in prod.__dict__
+            one = IntMatrix.identity(prod.rank)
+            assert trivial == all(m == one for m in prod.prefix + prod.period)
+            assert trivial == (s ** k == r ** j == 1)
+
+    def test_tensor_products_compare_entries(self):
+        for t, u in itertools.islice(self.pairs(155), 10):
+            vs, ws = wedge._wedge_towers(t), wedge._wedge_towers(u)
+            for k in range(1, t.rank):
+                v = towers.tensor_towers([vs[k], vs[1]])
+                w = towers.tensor_towers([ws[k], ws[1]])
+                fresh = towers.tensor_towers([wedge._wedge_towers(t)[k], t])
+                assert v == fresh and hash(v) == hash(fresh)
+                same = v.prefix + v.period == w.prefix + w.period
+                assert (v == w) == same
+                if same:
+                    assert hash(v) == hash(w)
 
 
 class TestK1:
