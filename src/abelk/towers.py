@@ -21,8 +21,8 @@ Divisibility, membership and p-heights are decided exactly:
   power: over F_p the stable image has dimension r minus the multiplicity
   of 0 as an eigenvalue of Q, read off the characteristic polynomial of
   Q mod p after a Hessenberg reduction.  Exterior powers and tensor
-  products take their p-ranks and determinant primes from the towers
-  they are built from (mod_p_rank, Tower.determinant_primes);
+  products (wedge._Wedge, _Tensor) compute their p-ranks and determinant
+  primes from the towers they are built from instead;
 * infinite p-height is detected by a minimal-polynomial criterion: the
   p-valuation of the element's coordinates grows without bound iff every
   root of the minimal polynomial of the period product on the element's
@@ -109,17 +109,18 @@ class Tower:
 
     Towers hash on their rank, stage counts (prefix length, period length)
     and connecting determinants, and are equal exactly when their entries
-    are, so equal towers hash equal.  Equality looks at the entries only
-    after rank, stage counts and determinants agree, and two exterior
-    powers Lambda^k of towers of one rank not even then (_same_recipe).
+    are, so equal towers hash equal.  Equality looks at the entries
+    (_same) only after rank, stage counts and determinants agree, and
+    never for rank 1, where a 1 x 1 matrix is its determinant.
 
-    A tower built from others (an exterior power of _wedge_towers, a
-    tensor product) makes its entries on first read of prefix or period:
-    by stage_matrix, transition, period_product, the p-heights and
-    membership walks, or an equality that the towers it is built from do
-    not settle.  Its rank, stage counts and connecting determinants, its
-    p-ranks and determinant primes, hashing, _is_trivial_tower and
-    validate_tower read no entries (see _built_from).
+    A tower built from others, a _Built subclass (an exterior power
+    wedge._Wedge, a tensor product _Tensor), holds only its recipe and
+    makes its entries on first read of prefix or period: by stage_matrix,
+    transition, period_product, the p-heights and membership walks, or an
+    equality that its recipe does not settle.  It overrides the members
+    that read entries here (connecting_dets, _determinant_primes,
+    _scalars, _p_rank and _same) to compute them from its recipe, so its
+    hashing, p-ranks, _is_trivial_tower and validate_tower read no entries.
     """
 
     rank: int
@@ -152,16 +153,6 @@ class Tower:
         """Composite of one full period (identity when the period is empty)."""
         return self._period_product
 
-    # Set by _built_from on a tower built from others (an exterior power,
-    # a tensor product): its p-rank as a function of p, its determinant
-    # primes and its scalar stages as functions of nothing, all read off
-    # the towers it is built from; and, by _wedge_towers, the base tower
-    # and k of an exterior power Lambda^k.  Class attributes, not fields.
-    _p_rank_rule = None
-    _primes_rule = None
-    _scalars_rule = None
-    _wedge_of = None
-
     # Per-object caches: cached_property stores into the instance dict,
     # which a frozen dataclass leaves writable and keeps out of ==/hash.
     # Towers are dict keys of the summand counts (groups.flatten): hash
@@ -181,9 +172,11 @@ class Tower:
         if (self.rank != other.rank or self.stage_counts != other.stage_counts
                 or self.connecting_dets != other.connecting_dets):
             return False
-        same = _same_recipe(self, other)
-        if same is not None:
-            return same
+        return self.rank == 1 or self._same(other)
+
+    def _same(self, other: "Tower") -> bool:
+        """self == other, for towers of equal rank > 1, stage counts and
+        determinants: entry by entry."""
         return self.prefix == other.prefix and self.period == other.period
 
     @functools.cached_property
@@ -202,47 +195,49 @@ class Tower:
     @functools.cached_property
     def connecting_dets(self) -> tuple[int, ...]:
         """Determinants of the prefix matrices, then of the period
-        matrices, computed once per tower.  Towers built from others
-        (exterior powers, tensor products) get them derived instead."""
+        matrices, computed once per tower."""
         return tuple(m.det() for m in self.prefix + self.period)
 
     def determinant_primes(self) -> frozenset[int]:
         """Primes dividing any connecting-matrix determinant, found once
-        per tower.
-
-        A tower built from others reads them off its factors instead of
-        factorizing its own determinants: det Lambda^k A is
-        det(A)^C(n-1, k-1) and det(A (x) B) is det(A)^rank B *
-        det(B)^rank A, with every exponent >= 1, so the k-th exterior
-        power (k >= 1) has the primes of its base, the 0-th has none, and
-        a tensor product has the union of its factors' primes.
-        """
+        per tower."""
         return self._determinant_primes
 
     @functools.cached_property
     def _determinant_primes(self) -> frozenset[int]:
-        if self._primes_rule is not None:
-            return self._primes_rule()
         primes: set[int] = set()
         for d in self.connecting_dets:
             primes.update(factorize(d))
         return frozenset(primes)
 
     @functools.cached_property
+    def _scalars(self) -> tuple[int | None, ...]:
+        """For each connecting matrix, prefix then period: c when it is c
+        times the identity for c = +-1, else None."""
+        ident = IntMatrix.identity(self.rank)
+        minus = -ident
+        return tuple(1 if m == ident else -1 if m == minus else None
+                     for m in self.prefix + self.period)
+
+    def _p_rank(self, p: int) -> int:
+        """mod_p_rank from the period matrices, once per prime."""
+        ranks = self._p_ranks
+        if p not in ranks:
+            ranks[p] = _stable_rank_mod_p(self, p)
+        return ranks[p]
+
+    @functools.cached_property
     def _p_ranks(self) -> dict[int, int]:
-        """prime -> p-rank, filled by mod_p_rank on the direct route."""
         return {}
 
 
-class _LazyTower(Tower):
-    """A tower built from others whose entries build() makes, as (prefix,
-    period), on first read.  Its rank and stage counts are given, and
-    _built_from sets what it inherits."""
+class _Built(Tower):
+    """A tower built from others: its rank and stage counts are given,
+    its recipe is kept as attributes, and _build() makes its entries, as
+    (prefix, period), on first read."""
 
-    def __init__(self, rank: int, stage_counts: tuple[int, int], build,
-                 **recipe):
-        self.__dict__.update(rank=rank, stage_counts=stage_counts,
-                             _build=build, **recipe)
+    def __init__(self, rank: int, stage_counts: tuple[int, int], **recipe):
+        self.__dict__.update(rank=rank, stage_counts=stage_counts, **recipe)
 
     @functools.cached_property
     def _entries(self) -> tuple[tuple[IntMatrix, ...], tuple[IntMatrix, ...]]:
@@ -251,36 +246,6 @@ class _LazyTower(Tower):
 
     prefix = property(lambda self: self._entries[0])
     period = property(lambda self: self._entries[1])
-
-
-def _built_from(t: Tower, dets, p_rank, primes, scalars=None) -> Tower:
-    """t, built from other towers, with what it inherits from them set
-    instead of computed: its connecting determinants dets (prefix then
-    period), p_rank(p) for mod_p_rank, primes() for determinant_primes
-    and, where given, scalars() for _stage_scalars.  Each must give
-    exactly what t would compute directly."""
-    t.__dict__.update(connecting_dets=tuple(dets), _p_rank_rule=p_rank,
-                      _primes_rule=primes, _scalars_rule=scalars)
-    return t
-
-
-def _same_recipe(s: Tower, t: Tower) -> bool | None:
-    """s == t, for towers of equal rank, stage counts and determinants,
-    decided from the towers they are built from; None when those do not
-    settle it.
-
-    For 1 <= k <= n - 1 the kernel of Lambda^k on GL_n is {c I : c^k = 1},
-    so Lambda^k A == Lambda^k B iff B = A, or B = -A with k even: two
-    k-th exterior powers of rank-n towers are equal iff each stage pair
-    of their bases is.  Any other pair compares entries.
-    """
-    if s._wedge_of and t._wedge_of:
-        (a, k), (b, j) = s._wedge_of, t._wedge_of
-        if k == j and a.rank == b.rank:
-            return all(m == n or (k % 2 == 0 and m == -n)
-                       for m, n in zip(a.prefix + a.period,
-                                       b.prefix + b.period))
-    return None
 
 
 @dataclass(frozen=True)
@@ -305,7 +270,7 @@ def validate_tower(t: Tower) -> list[str]:
         defects.append(f"rank must be >= 1, got {t.rank}")
         return defects
     a = t.stage_counts[0]
-    misshaped = {} if isinstance(t, _LazyTower) else {
+    misshaped = {} if isinstance(t, _Built) else {
         i: m for i, m in enumerate(t.prefix + t.period)
         if (m.rows, m.cols) != (t.rank, t.rank)}
     # the cached determinants only when all of them exist
@@ -590,38 +555,15 @@ def _stagewise(towers, combine):
     return tuple(maps[:a]), tuple(maps[a:])
 
 
-def _stage_index(t: Tower, s: int) -> int | None:
-    """Index of t.stage_matrix(s) in t.prefix + t.period, from the stage
-    counts; None past the prefix of an empty period (the identity)."""
+def _stage_value(t: Tower, s: int, values):
+    """The entry of values, one per connecting matrix of t (prefix then
+    period, like connecting_dets and _scalars), for t.stage_matrix(s),
+    found from the stage counts; 1, the determinant and scalar of the
+    identity, past the prefix of an empty period."""
     a, b = t.stage_counts
     if s < a:
-        return s
-    return a + (s - a) % b if b else None
-
-
-def _stage_det(t: Tower, s: int) -> int:
-    """det(t.stage_matrix(s)), from the cached connecting determinants."""
-    i = _stage_index(t, s)
-    return 1 if i is None else t.connecting_dets[i]
-
-
-def _stage_scalar(t: Tower, s: int) -> int | None:
-    """c when t.stage_matrix(s) is c times the identity for c = +-1, else
-    None (see _stage_scalars)."""
-    i = _stage_index(t, s)
-    return 1 if i is None else _stage_scalars(t)[i]
-
-
-def _stage_scalars(t: Tower) -> tuple[int | None, ...]:
-    """For each connecting matrix of t, prefix then period: c when it is
-    c times the identity for c = +-1, else None.  A tower built from
-    others reads them off the towers it is built from (_built_from)."""
-    if t._scalars_rule is not None:
-        return t._scalars_rule()
-    ident = IntMatrix.identity(t.rank)
-    minus = -ident
-    return tuple(1 if m == ident else -1 if m == minus else None
-                 for m in t.prefix + t.period)
+        return values[s]
+    return values[a + (s - a) % b] if b else 1
 
 
 def direct_sum_towers(towers) -> Tower:
@@ -642,21 +584,74 @@ def _is_trivial_tower(t: Tower) -> bool:
     """Whether every connecting matrix is the identity.  A connecting
     determinant other than 1 (-I of odd rank has det -1) settles it from
     the cached determinants, with no identity matrix built; otherwise the
-    scalar stages decide it, read off the towers that a tower built from
-    others is built from, so its entries are not built."""
+    scalar stages decide it, which a tower built from others reads off its
+    recipe, so its entries are not built."""
     if any(d != 1 for d in t.connecting_dets):
         return False
-    return all(c == 1 for c in _stage_scalars(t))
+    return all(c == 1 for c in t._scalars)
+
+
+class _Tensor(_Built):
+    """Tensor product of factor towers: Kronecker products stage by stage,
+    over _stage_counts(factors) stages."""
+
+    def __init__(self, factors):
+        super().__init__(math.prod(f.rank for f in factors),
+                         _stage_counts(factors), factors=tuple(factors))
+
+    def _build(self):
+        return _stagewise(self.factors, IntMatrix.kron)
+
+    def _factor_values(self, name: str) -> list[list]:
+        """For each stage, the factors' values there (see _stage_value)
+        of their per-connecting-matrix attribute name."""
+        return [[_stage_value(f, s, getattr(f, name)) for f in self.factors]
+                for s in range(sum(self.stage_counts))]
+
+    @functools.cached_property
+    def connecting_dets(self) -> tuple[int, ...]:
+        # det(A (x) B) = det(A)^rank(B) * det(B)^rank(A), for any number
+        # of factors: each determinant to the product of the other ranks
+        return tuple(math.prod(d ** (self.rank // f.rank)
+                               for f, d in zip(self.factors, ds))
+                     for ds in self._factor_values("connecting_dets"))
+
+    @functools.cached_property
+    def _determinant_primes(self) -> frozenset[int]:
+        # every exponent in connecting_dets is >= 1
+        return frozenset().union(*(f.determinant_primes()
+                                   for f in self.factors))
+
+    @functools.cached_property
+    def _scalars(self) -> tuple[int | None, ...]:
+        # A (x) B is c I iff A = a I and B = b I with ab = c
+        return tuple(None if None in cs else math.prod(cs)
+                     for cs in self._factor_values("_scalars"))
+
+    def _p_rank(self, p: int) -> int:
+        """The product of the factors' p-ranks.  (Q1 (x) Q2)^N =
+        Q1^N (x) Q2^N has rank the product of the ranks over F_p.  The
+        period starts at the longest prefix and spans the lcm of the
+        period lengths, so each factor enters as a power of a cyclic
+        rotation of its own period product; AB and BA have the same
+        stable rank ((AB)^(N+1) = A (BA)^N B), so that phase shift does
+        not matter."""
+        return math.prod(mod_p_rank(f, p) for f in self.factors)
+
+    def _same(self, other: Tower) -> bool:
+        """True when the factors are equal pair by pair, in order;
+        otherwise the entries decide, since A (x) B = cA (x) B/c: unequal
+        factors can make equal products."""
+        if (isinstance(other, _Tensor)
+                and len(other.factors) == len(self.factors)
+                and all(f == g for f, g in zip(self.factors, other.factors))):
+            return True
+        return super()._same(other)
 
 
 def tensor_towers(towers) -> Tower:
     """Tower of the tensor product: Kronecker products stage by stage,
-    built on first read.
-
-    The product inherits its connecting determinants, p-ranks,
-    determinant primes and scalar stages from its factors (see
-    _built_from): A (x) B is c I iff A = a I and B = b I with ab = c.
-    """
+    built on first read (_Tensor)."""
     towers = [t for t in towers]
     if not towers:
         raise ValueError("tensor of no towers")
@@ -667,25 +662,7 @@ def tensor_towers(towers) -> Tower:
         return Tower.free(1)
     if len(nontrivial) == 1:
         return nontrivial[0]
-    rank = math.prod(f.rank for f in nontrivial)
-    counts = _stage_counts(nontrivial)
-    stages = range(sum(counts))
-
-    def scalar(s):
-        cs = [_stage_scalar(f, s) for f in nontrivial]
-        return None if None in cs else math.prod(cs)
-
-    # det(A (x) B) = det(A)^rank(B) * det(B)^rank(A), for any number of
-    # factors: each determinant to the product of the other ranks
-    return _built_from(
-        _LazyTower(rank, counts,
-                   lambda: _stagewise(nontrivial, IntMatrix.kron)),
-        (math.prod(_stage_det(f, s) ** (rank // f.rank) for f in nontrivial)
-         for s in stages),
-        lambda p: math.prod(mod_p_rank(f, p) for f in nontrivial),
-        lambda: frozenset().union(*(f.determinant_primes()
-                                    for f in nontrivial)),
-        lambda: tuple(scalar(s) for s in stages))
+    return _Tensor(nontrivial)
 
 
 def _reduce(m: IntMatrix, n: int) -> IntMatrix:
@@ -766,26 +743,10 @@ def mod_p_rank(t: Tower, p: int) -> int:
     Fitting's lemma over F_p its dimension is the rank minus the
     multiplicity of 0 as an eigenvalue of Q mod p, the order at x of the
     characteristic polynomial: one Hessenberg reduction, no powers of Q.
-    A tower computes this once per prime and keeps it.
-
-    A tower built from others takes it from them instead, exactly.  The
-    period product of the k-th exterior power is Lambda^k Q (compounds
-    are multiplicative), so its stable image is that of
-    (Lambda^k Q)^N = Lambda^k(Q^N), of dimension C(rank Q^N, k) over F_p:
-    the k-th exterior power has p-rank C(r, k) for the p-rank r of its
-    base.  Likewise (Q1 (x) Q2)^N = Q1^N (x) Q2^N has rank the product of
-    the ranks, so a tensor product has the product of its factors'
-    p-ranks.  Its period starts at the longest prefix and spans the lcm
-    of the period lengths, so each factor enters as a power of a cyclic
-    rotation of its own period product; AB and BA have the same stable
-    rank ((AB)^(N+1) = A (BA)^N B), so that phase shift does not matter.
+    A tower computes this once per prime and keeps it; a tower built from
+    others takes it from its recipe instead (Tower._p_rank).
     """
-    if t._p_rank_rule is not None:
-        return t._p_rank_rule(p)
-    ranks = t._p_ranks
-    if p not in ranks:
-        ranks[p] = _stable_rank_mod_p(t, p)
-    return ranks[p]
+    return t._p_rank(p)
 
 
 def _stable_rank_mod_p(t: Tower, p: int) -> int:

@@ -15,25 +15,17 @@ summand tower is made once, and each distinct tensor product once, with
 its count and its factors sorted by summand.  Their entries are built on
 first read, from one all-orders compound pass per connecting matrix of
 the summand.  k1 and k0 never read them, and compare_k1 only to tell
-apart two tensor products of equal rank, stage counts and determinants.
+apart two tensor products of equal rank, stage counts and determinants
+whose factors are not equal pair by pair.
 
-An exterior power or tensor product inherits from the towers it is built
-from the three invariants a comparison reads, none of them computed on a
-compound or Kronecker matrix (equality, hashing and triviality come from
-the bases and the determinants too; see towers.Tower):
-
-* connecting determinants: det Lambda^k A = det(A)^C(n-1, k-1)
-  (Sylvester-Franke) and det(A (x) B) = det(A)^rank B * det(B)^rank A;
-* p-ranks: C(r, k) for the k-th exterior power of a tower of p-rank r,
-  the product of the factors' p-ranks for a tensor product.  Over F_p the
-  stable image of (Lambda^k Q)^N = Lambda^k(Q^N) has dimension
-  C(rank Q^N, k), and the same holds for Kronecker products with the
-  product of the ranks; see towers.mod_p_rank;
-* determinant primes: those of the base for k >= 1 (none for k == 0),
-  the union of the factors' for a tensor product.
-
-So the Hessenberg kernel of mod_p_rank and factorize only ever see a
-summand tower of the input, at its own rank.
+Each exterior power but the first is a _Wedge, and each tensor product a
+towers._Tensor: a tower that holds only its recipe and computes from it,
+on its own overrides of the Tower members, what a comparison reads (the
+connecting determinants, p-ranks, determinant primes, scalar stages and
+equality; see towers.Tower), none of it on a compound or Kronecker
+matrix.  So the Hessenberg kernel of mod_p_rank and factorize only ever
+see a summand tower of the input, at its own rank.  wedge_power_tower
+builds the compound matrices and derives nothing: it is the reference.
 """
 
 from __future__ import annotations
@@ -49,74 +41,98 @@ from .matrices import (IntMatrix, binomial, compound_determinant,
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
                      FreePart, KGroupDesc, Rank1, TowerForm, direct_sum_of,
                      flatten)
-from .towers import (Tower, TypeClass, _LazyTower, _built_from,
-                     _is_trivial_tower, _stage_scalars, is_divisible,
-                     mod_p_rank, rank1_tower_from_supernatural,
+from .towers import (Tower, TypeClass, _Built, _is_trivial_tower,
+                     is_divisible, mod_p_rank, rank1_tower_from_supernatural,
                      stable_period_power, tensor_towers, tower_type,
                      unit_element)
 
 
-def _wedge_tower(t: Tower, k: int, w: Tower) -> Tower:
-    """w, the k-th exterior power of t, with what it inherits from t set:
-    the connecting determinants det^C(rank - 1, k - 1) (Sylvester-Franke),
-    the p-ranks C(mod_p_rank(t, p), k), for k >= 1 the determinant primes
-    of t (none for k == 0) and, for 1 <= k <= rank - 1, the scalar
-    stages c^k of t's scalar stages c: there Lambda^k A is a multiple of
-    the identity only when A is."""
-    return _built_from(
-        w, (compound_determinant(d, t.rank, k) for d in t.connecting_dets),
-        lambda p: binomial(mod_p_rank(t, p), k),
-        t.determinant_primes if k else frozenset,
-        (lambda: tuple(None if c is None else c ** k
-                       for c in _stage_scalars(t))) if 0 < k < t.rank
-        else None)
+class _Wedge(_Built):
+    """Lambda^k of the tower base, the tower of its k-th compound
+    matrices, for k != 1.  At rank 1 (k = 0 or k = base.rank) its 1 x 1
+    entries are its determinants; otherwise they come on first read from
+    compounds(), the all-orders compound pass over the connecting
+    matrices of base (prefix then period) that its powers share."""
+
+    def __init__(self, base: Tower, k: int, compounds=None):
+        super().__init__(binomial(base.rank, k), base.stage_counts,
+                         base=base, k=k, compounds=compounds)
+
+    def _build(self):
+        mats = ([IntMatrix(((d,),)) for d in self.connecting_dets]
+                if self.rank == 1 else [c[self.k] for c in self.compounds()])
+        a = self.stage_counts[0]
+        return mats[:a], mats[a:]
+
+    @functools.cached_property
+    def connecting_dets(self) -> tuple[int, ...]:
+        # Sylvester-Franke: det Lambda^k A = det(A)^C(n-1, k-1), 1 for k = 0
+        return tuple(compound_determinant(d, self.base.rank, self.k)
+                     for d in self.base.connecting_dets)
+
+    @functools.cached_property
+    def _determinant_primes(self) -> frozenset[int]:
+        # those of the base, since C(n-1, k-1) >= 1 for k >= 1
+        return self.base.determinant_primes() if self.k else frozenset()
+
+    @functools.cached_property
+    def _scalars(self) -> tuple[int | None, ...]:
+        """At rank 1 a stage is +-1 when its determinant is.  Otherwise
+        1 <= k <= n - 1, where Lambda^k A is a multiple of the identity
+        only when A is, and Lambda^k (c I) = c^k I."""
+        if self.rank == 1:
+            return tuple(d if d in (1, -1) else None
+                         for d in self.connecting_dets)
+        return tuple(None if c is None else c ** self.k
+                     for c in self.base._scalars)
+
+    def _p_rank(self, p: int) -> int:
+        """C(r, k) for the p-rank r of the base.  The period product is
+        Lambda^k Q (compounds are multiplicative), and over F_p the stable
+        image of (Lambda^k Q)^N = Lambda^k(Q^N) has dimension
+        C(rank Q^N, k)."""
+        return binomial(mod_p_rank(self.base, p), self.k)
+
+    def _same(self, other: Tower) -> bool:
+        """For rank > 1, 1 <= k <= n - 1, and the kernel of Lambda^k on
+        GL_n is {c I : c^k = 1}.  So Lambda^k A == Lambda^k B iff B = A,
+        or B = -A with k even: two k-th exterior powers of rank-n towers
+        are equal iff each stage pair of their bases is.  Any other pair
+        compares entries."""
+        if (isinstance(other, _Wedge)
+                and (other.k, other.base.rank) == (self.k, self.base.rank)):
+            mine, theirs = self.base, other.base
+            return all(x == y or (self.k % 2 == 0 and x == -y)
+                       for x, y in zip(mine.prefix + mine.period,
+                                       theirs.prefix + theirs.period))
+        return super()._same(other)
 
 
 def wedge_power_tower(t: Tower, k: int) -> Tower:
-    """Tower of the k-th exterior power: compound matrices stage by stage."""
+    """Tower of the k-th exterior power: compound matrices stage by stage,
+    a plain Tower that computes every invariant from them.  The reference
+    for _wedge_towers."""
     if not 0 <= k <= t.rank:
         raise ValueError(f"wedge power {k} out of range for rank {t.rank}")
-    return _wedge_tower(t, k, Tower(
-        binomial(t.rank, k), tuple(compound_matrix(m, k) for m in t.prefix),
-        tuple(compound_matrix(m, k) for m in t.period)))
+    return Tower(binomial(t.rank, k),
+                 tuple(compound_matrix(m, k) for m in t.prefix),
+                 tuple(compound_matrix(m, k) for m in t.period))
 
 
 def _wedge_towers(t: Tower) -> list[Tower]:
-    """Towers equal to wedge_power_tower(t, k) for every k = 0..rank.
-
-    Lambda^0 is the rank-1 tower of ones, Lambda^1 is t and Lambda^rank
-    is _top_wedge(t).  Every other power holds only its recipe (t, k):
-    its entries are built on first read, from one all-orders compound
-    pass per connecting matrix of t shared by all of them.
-    """
-    a, b = t.stage_counts
-    one = IntMatrix.identity(1)
-
-    @functools.cache
-    def compounds():
-        return ([compound_matrices(m) for m in t.prefix],
-                [compound_matrices(m) for m in t.period])
-
-    def entries(k):
-        pre, per = compounds()
-        return [c[k] for c in pre], [c[k] for c in per]
-
-    powers = [_wedge_tower(t, 0, Tower(1, (one,) * a, (one,) * b)), t]
-    powers += [_wedge_tower(t, k, _LazyTower(
-        binomial(t.rank, k), (a, b), functools.partial(entries, k),
-        _wedge_of=(t, k))) for k in range(2, t.rank)]
-    return powers + [_top_wedge(t)] if t.rank > 1 else powers
+    """Towers equal to wedge_power_tower(t, k) for every k = 0..rank: t
+    itself for k = 1 and a _Wedge for every other k, all of them sharing
+    one all-orders compound pass per connecting matrix of t."""
+    compounds = functools.cache(
+        lambda: [compound_matrices(m) for m in t.prefix + t.period])
+    return [t if k == 1 else _Wedge(t, k, compounds)
+            for k in range(t.rank + 1)]
 
 
 def _top_wedge(t: Tower) -> Tower:
     """wedge_power_tower(t, t.rank) without a compound: the rank-1 tower
     of the connecting determinants."""
-    def one_by_one(dets):
-        return tuple(IntMatrix(((d,),)) for d in dets)
-
-    a, dets = t.stage_counts[0], t.connecting_dets
-    return _wedge_tower(t, t.rank, Tower(1, one_by_one(dets[:a]),
-                                         one_by_one(dets[a:])))
+    return _Wedge(t, t.rank)
 
 
 def _rank1_algebra(factors: tuple, copies: int) -> Counter:
@@ -167,12 +183,9 @@ def _k_group(f: FreePart, parity: int) -> KGroupDesc:
             continue
         order.append((t.rank, [m.entries for m in t.prefix],
                       [m.entries for m in t.period]))
-        if t.rank == 1:
-            algebras.append(_rank1_algebra(((len(powers), 1),), c))
-            powers.append((Tower.free(1), t))
-        else:
-            algebras.append(_tower_algebra(len(powers), t.rank, c))
-            powers.append(_wedge_towers(t))
+        algebras.append(_rank1_algebra(((len(powers), 1),), c) if t.rank == 1
+                        else _tower_algebra(len(powers), t.rank, c))
+        powers.append(_wedge_towers(t))
     if free_rank:
         algebras.insert(0, _rank1_algebra((), free_rank))
     terms = {(0, ()): 1}

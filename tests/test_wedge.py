@@ -46,6 +46,22 @@ class TestWedgePowerTower:
         with pytest.raises(ValueError):
             wedge_power_tower(Tower.free(2), 3)
 
+    def test_reference_derives_nothing(self, monkeypatch):
+        # the p-rank of Lambda^2 of a rank-5 tower comes from its own
+        # 10 x 10 period matrix, not from the base
+        sizes = []
+        hessenberg = towers._hessenberg_charpoly
+
+        def recorded_charpoly(m, p):
+            sizes.append(len(m))
+            return hessenberg(m, p)
+
+        monkeypatch.setattr(towers, "_hessenberg_charpoly", recorded_charpoly)
+        w = wedge_power_tower(kgroups_style_towers(1)[0], 2)
+        assert type(w) is Tower
+        assert towers.mod_p_rank(w, 1021) == math.comb(4, 2)
+        assert sizes == [10]
+
 
 def sum_of_ranks_3_3_2(seed: int, conjugate=False) -> AbGroupDesc:
     """Random towers of ranks 3, 3 and 2 with prefix and period matrices;
@@ -135,6 +151,20 @@ class TestWorkDone:
                 assert len(t.period) == t.stage_counts[1]
             assert seen == list(gamma.prefix + gamma.period)
 
+    def test_equal_sums_compare_without_compounds(self, monkeypatch):
+        # equal tensor products are told equal from their factors
+        g = sum_of_ranks_3_3_2(73)
+        passes = []
+        kernel = wedge.compound_matrices
+
+        def counted(m):
+            passes.append(m)
+            return kernel(m)
+
+        monkeypatch.setattr(wedge, "compound_matrices", counted)
+        assert compare_k1(g, g).verdict == "isomorphic"
+        assert passes == []
+
     def test_each_tensor_product_once(self, monkeypatch):
         # Z^2 (+) rank-3 tower (+) rank-2 tower: degrees (1-3, 1-2) give 6
         # products per K-group, each reached from every free degree of
@@ -223,15 +253,14 @@ class TestWorkDone:
         rng = random.Random(83)
         for _ in range(10):
             t = rand_tower(rng, rng.randint(1, 4), 2, 2)
-            for k in range(t.rank + 1):
-                w = wedge_power_tower(t, k)
-                fresh = Tower(w.rank, w.prefix, w.period)
-                assert w.connecting_dets == fresh.connecting_dets
             for k, w in enumerate(wedge._wedge_towers(t)):
-                assert w == wedge_power_tower(t, k)
-                assert w.connecting_dets == wedge_power_tower(
-                    t, k).connecting_dets
-            assert wedge._top_wedge(t) == wedge_power_tower(t, t.rank)
+                assert w is t if k == 1 else type(w) is wedge._Wedge
+                reference = wedge_power_tower(t, k)
+                assert w == reference
+                assert w.connecting_dets == reference.connecting_dets
+            top = wedge._top_wedge(t)
+            assert type(top) is wedge._Wedge
+            assert top == wedge_power_tower(t, t.rank)
 
 
 def entries_of_power(t: Tower, k: int):
@@ -312,7 +341,13 @@ class TestLazyEquality:
             assert trivial == (s ** k == r ** j == 1)
 
     def test_tensor_products_compare_entries(self):
-        for t, u in itertools.islice(self.pairs(155), 10):
+        pairs = list(itertools.islice(self.pairs(155), 10))
+        # u = -t at every stage: for odd k, Lambda^k(-A) (x) -A equals
+        # Lambda^k A (x) A, though no factor pair is equal
+        t = next(t for t, _ in pairs if t.rank == 4)
+        minus = Tower(4, tuple(-m for m in t.prefix),
+                      tuple(-m for m in t.period))
+        for t, u in pairs + [(t, minus)]:
             vs, ws = wedge._wedge_towers(t), wedge._wedge_towers(u)
             for k in range(1, t.rank):
                 v = towers.tensor_towers([vs[k], vs[1]])
@@ -323,6 +358,8 @@ class TestLazyEquality:
                 assert (v == w) == same
                 if same:
                     assert hash(v) == hash(w)
+                if u is minus:
+                    assert same == (k % 2 == 1)
 
 
 class TestK1:
