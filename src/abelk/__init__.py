@@ -19,8 +19,7 @@ from .towers import (GroupElement, INF, Supernatural, Tower, TypeClass,
                      tower_type, types_equivalent, unit_element,
                      validate_tower)
 from .groups import (AbGroupDesc, CompletelyDecomposable, DirectSum,
-                     FreeOfRank, Rank1, TowerForm, describe, direct_sum_of,
-                     flatten)
+                     FreeOfRank, TowerForm, describe, direct_sum_of, flatten)
 from .wedge import (k0, k1, wedge_divisible_by_search, wedge_power_tower,
                     wedge_square_type, wedge_unit_divisible)
 from .compare import (DimensionMismatchError, SingularWitnessError,

@@ -21,7 +21,7 @@ from .gallery import (FAIL, NOTICE, builtin_gallery, default_pair_config,
                       load_pair_config, render_report, verify_gallery)
 from .groupfile import (ParseError, ValidationError, parse_group_file,
                         parse_witness_file)
-from .groups import Rank1, TowerForm, describe
+from .groups import TowerForm, describe
 from .towers import GroupElement, height, tower_type
 from .wedge import k0, k1
 
@@ -82,8 +82,6 @@ def _load_witnesses(paths):
 
 def _rank1_tower(desc):
     f = desc.free
-    if isinstance(f, Rank1):
-        return f.tower
     if isinstance(f, TowerForm) and f.tower.rank == 1:
         return f.tower
     raise InputError("this command needs a rank-1 group "
@@ -92,7 +90,7 @@ def _rank1_tower(desc):
 
 def _tower(desc):
     f = desc.free
-    if isinstance(f, (Rank1, TowerForm)):
+    if isinstance(f, TowerForm):
         return f.tower
     raise InputError("this command needs a tower-presented free part")
 

@@ -18,8 +18,7 @@ from .compare import (Verdict, Witness, check_witness, compare_free_parts,
                       compare_k1, compare_unitary)
 from .fg import FgAbGroup, TorsionDesc
 from .groupfile import _fail, _loads, _parse_tower, _parse_witness_map
-from .groups import (AbGroupDesc, FreeOfRank, Rank1, TowerForm,
-                     direct_sum_of, flatten)
+from .groups import AbGroupDesc, FreeOfRank, TowerForm, direct_sum_of, flatten
 from .matrices import IntMatrix, RatMatrix, compound_matrix
 from .towers import (INF, Supernatural, Tower, is_prime,
                      rank1_tower_from_supernatural)
@@ -111,7 +110,8 @@ def default_pair_config() -> PairConfig:
 
 
 def _rank1_group(sup: Supernatural) -> AbGroupDesc:
-    return AbGroupDesc.torsion_free(Rank1(rank1_tower_from_supernatural(sup)))
+    return AbGroupDesc.torsion_free(
+        TowerForm(rank1_tower_from_supernatural(sup)))
 
 
 def builtin_gallery(config: PairConfig | None = None
@@ -219,7 +219,7 @@ def builtin_gallery(config: PairConfig | None = None
 
 def _tower_of(g: AbGroupDesc) -> Tower:
     f = g.free
-    if isinstance(f, (TowerForm, Rank1)):
+    if isinstance(f, TowerForm):
         return f.tower
     raise ValueError("claim needs a tower-presented group")
 

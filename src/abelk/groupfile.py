@@ -5,7 +5,8 @@ A group file is a JSON object with optional "name", a "torsion" field
 orders for a finite torsion subgroup) and a "free" field built from
 {"free": rank}, {"rank1": characteristic}, {"cd": [...]}, {"tower": ...}
 and {"sum": [...]}.  Characteristics map primes (as strings, listed in
-increasing order) to exponents, with "inf" as the infinity token.
+increasing order) to exponents, with "inf" as the infinity token.  A
+"rank1" group is read as the canonical rank-1 tower of its characteristic.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from fractions import Fraction
 from .compare import Witness
 from .fg import TorsionDesc, from_relations
 from .groups import (AbGroupDesc, CompletelyDecomposable, DirectSum,
-                     FreeOfRank, FreePart, OMEGA_COPIES, Rank1, TowerForm)
+                     FreeOfRank, FreePart, OMEGA_COPIES, TowerForm)
 from .matrices import IntMatrix, RatMatrix
-from .towers import (INF, Supernatural, Tower, TypeClass, characteristic,
-                     is_prime, rank1_tower_from_supernatural, unit_element,
-                     validate_tower)
+from .towers import (INF, Supernatural, Tower, TypeClass, is_prime,
+                     rank1_tower_from_supernatural, validate_tower)
 
 
 class ParseError(ValueError):
@@ -111,7 +111,7 @@ def _parse_free(spec, path: str) -> FreePart:
         return FreeOfRank(val)
     if key == "rank1":
         sup = _parse_supernatural(val, f"{path}.rank1")
-        return Rank1(rank1_tower_from_supernatural(sup))
+        return TowerForm(rank1_tower_from_supernatural(sup))
     if key == "cd":
         if not isinstance(val, list) or not val:
             _fail(f"{path}.cd", "expected a non-empty list of typed summands")
@@ -187,9 +187,6 @@ def _emit_tower(t: Tower) -> dict:
 def _emit_free(f: FreePart) -> dict:
     if isinstance(f, FreeOfRank):
         return {"free": f.rank}
-    if isinstance(f, Rank1):
-        return {"rank1": _emit_supernatural(
-            characteristic(f.tower, unit_element(f.tower)))}
     if isinstance(f, CompletelyDecomposable):
         return {"cd": [{"type": _emit_supernatural(tc.representative),
                         "copies": "omega" if mult == OMEGA_COPIES else mult}
@@ -203,7 +200,8 @@ def _emit_free(f: FreePart) -> dict:
 
 def emit_group(desc: AbGroupDesc, name: str | None = None) -> str:
     """Canonical JSON text; parse_group_file(emit_group(d)) == d for any
-    descriptor produced by parse_group_file."""
+    descriptor produced by parse_group_file.  A rank-1 group, "rank1" in
+    the file it came from, is written as its tower."""
     t = desc.torsion
     torsion = ("countable" if t.is_countably_infinite
                else "trivial" if t.finite.is_trivial

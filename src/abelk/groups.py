@@ -1,11 +1,12 @@
 """Symbolic descriptions of countable abelian groups.
 
 A group is a torsion descriptor plus a torsion-free ("free part")
-descriptor.  Free parts are built from free groups, rank-1 groups, tower
-groups, completely decomposable multisets of types and direct sums.  A
-multiplicity is a count, never a list of copies: a positive int or omega
-(which absorbs sums and products), in a CompletelyDecomposable and in
-TowerForm(t, copies).  flatten reads a free part as one such multiset.
+descriptor.  Free parts are built from free groups, tower groups (a
+rank-1 group given by a tower is a rank-1 TowerForm), completely
+decomposable multisets of types and direct sums.  A multiplicity is a
+count, never a list of copies: a positive int or omega (which absorbs
+sums and products), in a CompletelyDecomposable and in TowerForm(t,
+copies).  flatten reads a free part as one such multiset.
 """
 
 from __future__ import annotations
@@ -50,21 +51,6 @@ class FreeOfRank:
 
 
 @dataclass(frozen=True)
-class Rank1:
-    """A rank-1 torsion-free group presented by a rank-1 tower."""
-
-    tower: Tower
-
-    def __post_init__(self):
-        if self.tower.rank != 1:
-            raise ValueError("Rank1 requires a rank-1 tower")
-
-    @property
-    def type(self) -> TypeClass:
-        return tower_type(self.tower)
-
-
-@dataclass(frozen=True)
 class CompletelyDecomposable:
     """Multiset of rank-1 types; multiplicities are positive ints or omega."""
 
@@ -80,7 +66,7 @@ class CompletelyDecomposable:
 @dataclass(frozen=True)
 class TowerForm:
     """copies (a positive int or omega) copies of the finite-rank
-    torsion-free group presented by a tower."""
+    torsion-free group presented by a tower; at rank 1, a rank-1 group."""
 
     tower: Tower
     copies: Copies = 1
@@ -104,8 +90,7 @@ class DirectSum:
 # PEP 604 unions, not typing.Union: typing caches every Union it makes,
 # which would keep these classes, and with them this module, alive after
 # abelk is dropped from sys.modules and imported again
-FreePart = (FreeOfRank | Rank1 | CompletelyDecomposable | TowerForm
-            | DirectSum)
+FreePart = FreeOfRank | CompletelyDecomposable | TowerForm | DirectSum
 
 # K-group results are the same symbolic shapes
 KGroupDesc = FreePart
@@ -186,8 +171,6 @@ def _walk(f: FreePart):
             yield from _walk(q)
     elif isinstance(f, FreeOfRank):
         yield f.rank, 1
-    elif isinstance(f, Rank1):
-        yield f.type.representative, 1
     elif isinstance(f, CompletelyDecomposable):
         for tc, mult in f.parts:
             yield tc.representative, mult
@@ -230,14 +213,14 @@ def describe(f: FreePart) -> str:
     """Compact human-readable rendering of a free part / K-group value."""
     if isinstance(f, FreeOfRank):
         return f"free rank {f.rank}" if f.rank else "trivial"
-    if isinstance(f, Rank1):
-        return f"rank-1 group of {f.type}"
     if isinstance(f, CompletelyDecomposable):
         bits = [f"{tc} x {mult}" for tc, mult in f.parts]
         return "completely decomposable(" + ", ".join(bits) + ")"
     if isinstance(f, TowerForm):
         if f.copies == 1:
-            return f"tower group of rank {f.tower.rank}"
+            return (f"rank-1 group of {tower_type(f.tower)}"
+                    if f.tower.rank == 1
+                    else f"tower group of rank {f.tower.rank}")
         return f"{f.copies} copies of rank-{f.tower.rank} tower group"
     if isinstance(f, DirectSum):
         return " + ".join(describe(p) for p in f.parts)

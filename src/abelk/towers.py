@@ -213,7 +213,10 @@ class Tower:
     @functools.cached_property
     def _scalars(self) -> tuple[int | None, ...]:
         """For each connecting matrix, prefix then period: c when it is c
-        times the identity for c = +-1, else None."""
+        times the identity for c = +-1, else None.  A tower with no
+        connecting matrix builds no identity."""
+        if not (self.prefix or self.period):
+            return ()
         ident = IntMatrix.identity(self.rank)
         minus = -ident
         return tuple(1 if m == ident else -1 if m == minus else None
@@ -289,10 +292,16 @@ def validate_tower(t: Tower) -> list[str]:
 
 
 def push_to_stage(t: Tower, e: GroupElement, s: int) -> GroupElement:
+    """e at stage s: each connecting map applied to the coordinates in
+    turn, none past the prefix of an empty period (the identity there)."""
     if s < e.stage:
         raise ValueError(f"cannot push element from stage {e.stage} "
                          f"back to stage {s}")
-    return GroupElement(s, t.transition(e.stage, s).apply(e.coords))
+    a, b = t.stage_counts
+    coords = e.coords
+    for k in range(e.stage, s if b else min(s, a)):
+        coords = t.stage_matrix(k).apply(coords)
+    return GroupElement(s, coords)
 
 
 def elements_equal(t: Tower, e1: GroupElement, e2: GroupElement) -> bool:
@@ -350,7 +359,7 @@ def membership(t: Tower, v) -> GroupElement | None:
     s = _first_stage_reaching_zero(t, 0, [w], d)
     if s is None:
         return None
-    coords = t.transition(0, s).apply(w)
+    coords = push_to_stage(t, GroupElement(0, w), s).coords
     assert all(c % d == 0 for c in coords)
     return GroupElement(s, tuple(c // d for c in coords))
 
@@ -669,21 +678,22 @@ def _reduce(m: IntMatrix, n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(x % n for x in row) for row in m.entries))
 
 
-def stable_period_power(t: Tower, mod: int, length: int) -> IntMatrix:
-    """Q^N mod `mod` for the period product Q and some N >= rank * length.
+def stable_period_power(t: Tower, mod: int) -> IntMatrix:
+    """Q^N mod `mod` for the period product Q and some
+    N >= rank * mod.bit_length().
 
-    length must bound the length of Z/mod as a module over itself, the
-    number of prime factors of mod with multiplicity: e for mod = p^e,
-    mod.bit_length() for any mod.  (Z/mod)^rank then has length at most
-    rank * length, so by Fitting's lemma the kernels and images of the
-    powers of Q stop changing by then: Q^N has the kernel and the image of
-    every later power.  N is a power of two, reached by
-    ceil(log2(rank * length)) squarings of the reduced period product.
+    mod.bit_length() bounds the length of Z/mod as a module over itself,
+    the number of prime factors of mod with multiplicity.  (Z/mod)^rank
+    then has length at most rank * mod.bit_length(), so by Fitting's lemma
+    the kernels and images of the powers of Q stop changing by then: Q^N
+    has the kernel and the image of every later power.  N is a power of
+    two, reached by ceil(log2(rank * mod.bit_length())) squarings of the
+    reduced period product.
     The wedge divisibility search needs it for composite mod, where Z/mod
     is not a field; p-ranks take the shorter route of mod_p_rank.
     """
     q = _reduce(t.period_product(), mod)
-    for _ in range((t.rank * length - 1).bit_length()):
+    for _ in range((t.rank * mod.bit_length() - 1).bit_length()):
         q = _reduce(q @ q, mod)
     return q
 

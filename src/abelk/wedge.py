@@ -39,8 +39,7 @@ from collections import Counter
 from .matrices import (IntMatrix, binomial, compound_determinant,
                        compound_matrices, compound_matrix)
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
-                     FreePart, KGroupDesc, Rank1, TowerForm, direct_sum_of,
-                     flatten)
+                     FreePart, KGroupDesc, TowerForm, direct_sum_of, flatten)
 from .towers import (Tower, TypeClass, _Built, _is_trivial_tower,
                      is_divisible, mod_p_rank, rank1_tower_from_supernatural,
                      stable_period_power, tensor_towers, tower_type,
@@ -205,15 +204,13 @@ def _k_group(f: FreePart, parity: int) -> KGroupDesc:
         # permuting factors conjugates each stage by one permutation
         factors = [powers[i][d]
                    for i, d in sorted(key, key=lambda x: (order[x[0]], x[1]))]
-        t = (tensor_towers(factors) if len(factors) > 1
-             else factors[0] if factors else Tower.free(1))
+        t = tensor_towers(factors) if factors else Tower.free(1)
         if _is_trivial_tower(t):
             out_free += n * t.rank
-        elif t.rank > 1:
+        elif t.rank > 1 or n == 1:
             parts.append(TowerForm(t, n))
         else:
-            parts.append(Rank1(t) if n == 1 else CompletelyDecomposable(
-                ((tower_type(t), n),)))
+            parts.append(CompletelyDecomposable(((tower_type(t), n),)))
     return direct_sum_of([FreeOfRank(out_free), *parts])
 
 
@@ -288,8 +285,7 @@ def wedge_divisible_by_search(t: Tower, m: int) -> bool:
         raise ValueError("requires a rank-2 tower")
     if m < 2:
         raise ValueError("divisor must be >= 2")
-    mat = (stable_period_power(t, m, m.bit_length())
-           @ t.transition(0, len(t.prefix)))
+    mat = stable_period_power(t, m) @ t.transition(0, len(t.prefix))
     return any(_kernel_has_unit_slot(mat, slot, m) for slot in (0, 1))
 
 

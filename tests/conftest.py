@@ -9,7 +9,7 @@ from abelk import (INF, DimensionMismatchError, GroupElement, IntMatrix,
                    characteristic, compound_matrix, direct_sum_towers,
                    membership, push_to_stage, rational_inverse,
                    unit_element)
-from abelk.groups import (FreeOfRank, Rank1, TowerForm, direct_sum_of,
+from abelk.groups import (FreeOfRank, TowerForm, direct_sum_of,
                           flatten, summand_towers)
 from abelk.matrices import binomial
 from abelk.towers import _is_trivial_tower, tensor_towers
@@ -262,7 +262,7 @@ def _listed_tensor_of_powers(powers, degrees):
     summand = factors[0] if len(factors) == 1 else tensor_towers(factors)
     if _is_trivial_tower(summand):
         return FreeOfRank(summand.rank)
-    return Rank1(summand) if summand.rank == 1 else TowerForm(summand)
+    return TowerForm(summand)
 
 
 def listed_odd_even_sum(f, parity: int):

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from abelk import (AbGroupDesc, FgAbGroup, FreeOfRank, GroupElement, INF,
-                   IntMatrix, Rank1, Supernatural, TorsionDesc, TowerForm,
+                   IntMatrix, Supernatural, TorsionDesc, TowerForm,
                    Witness, builtin_gallery, check_witness, compare_k1,
                    compare_unitary, compound_matrix, direct_sum_of,
                    is_divisible, k0, k1, rank1_tower_from_supernatural,
@@ -56,7 +56,7 @@ def test_criterion_03_low_rank_k1_structurally_unchanged(note):
     for i in range(50):
         rank = 1 if i % 2 == 0 else 2
         t = rand_tower(rng, rank)
-        f = Rank1(t) if rank == 1 else TowerForm(t)
+        f = TowerForm(t)
         assert k1(AbGroupDesc.torsion_free(f)) == f
     note("PASS criterion 3: k1 of 50 random rank <= 2 towers returns the "
          "input free part unchanged")
@@ -160,7 +160,7 @@ def test_criterion_09_countable_torsion_erased(note):
 def test_criterion_10_rank1_types_decide(note):
     def grp(sup):
         return AbGroupDesc.torsion_free(
-            Rank1(rank1_tower_from_supernatural(Supernatural.of(sup))))
+            TowerForm(rank1_tower_from_supernatural(Supernatural.of(sup))))
     equal = compare_unitary(grp({2: INF, 3: 4}), grp({2: INF}))
     assert equal.verdict == "isomorphic"
     disjoint = compare_unitary(grp({5: INF}), grp({7: INF}))

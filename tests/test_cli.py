@@ -97,6 +97,35 @@ class TestCommands:
         assert "notice" in out and "0 fail" in out
 
 
+class TestRank1Twins:
+    """A "rank1" file and the canonical tower of its characteristic are
+    one descriptor, so every command answers them alike."""
+
+    TWIN = ('{"free": {"tower": {"rank": 1, "prefix": [[[125]]], '
+            '"period": [[[2]]]}}}')
+    THIRD = '{"free": {"rank1": {"2": "inf", "3": "inf"}}}'
+
+    def verdicts(self, capsys, argv):
+        assert main(["--format", "json", *argv]) == 0
+        return json.loads(capsys.readouterr().out)["verdicts"]
+
+    def test_same_verdicts(self, files, capsys):
+        third = files("third.grp", self.THIRD)
+        paths = files("r1.grp", R1), files("twin.grp", self.TWIN)
+        for argv in (["k1"], ["k0"], ["type"], ["height", "5"],
+                     ["height", "2"], ["compare-unitary", third]):
+            got = [self.verdicts(capsys, [argv[0], p, *argv[1:]])
+                   for p in paths]
+            assert got[0] == got[1], argv
+        assert got[0][0]["value"] == "not_isomorphic"
+        assert self.verdicts(capsys, ["k1", paths[1]])[0]["value"] == \
+            "rank-1 group of type[2^inf]"
+
+    def test_equal_descriptors(self):
+        assert (abelk.parse_group_file(R1)
+                == abelk.parse_group_file(self.TWIN))
+
+
 class TestRepeatedCalls:
     def test_consecutive_calls_share_no_state(self, files, capsys,
                                               monkeypatch):

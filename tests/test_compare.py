@@ -7,7 +7,7 @@ import pytest
 
 from abelk import (AbGroupDesc, CompletelyDecomposable,
                    DimensionMismatchError, FgAbGroup, FreeOfRank, INF,
-                   IntMatrix, RatMatrix, Rank1, SingularWitnessError,
+                   IntMatrix, RatMatrix, SingularWitnessError,
                    Supernatural, TorsionDesc, Tower, TowerForm, TypeClass,
                    Witness, amplify, check_witness, compare_free_parts,
                    compare_k1, compare_unitary, describe, direct_sum_of,
@@ -26,7 +26,7 @@ TAU3 = TypeClass(Supernatural.of({3: INF}))
 
 
 def rank1_of(sup_dict):
-    return Rank1(rank1_tower_from_supernatural(Supernatural.of(sup_dict)))
+    return TowerForm(rank1_tower_from_supernatural(Supernatural.of(sup_dict)))
 
 
 class TestAmplify:
@@ -246,6 +246,40 @@ class TestWitness:
         compare_free_parts(direct_sum_of([a, b]), direct_sum_of([b, a]),
                            (w,))
         assert calls == ["swap"]
+
+    def z_plus_fuchs_witness(self):
+        """Z + Gamma1 to Z + Gamma2, two copies: the identity on the Z
+        coordinates and the packaged map on the Gamma ones, in the order
+        the witness lays them out, [Z, Gamma, Z, Gamma]."""
+        cfg = default_pair_config()
+        rows = [[Fraction(0)] * 6 for _ in range(6)]
+        rows[0][0] = rows[3][3] = Fraction(1)
+        gamma = (1, 2, 4, 5)
+        for i, row in enumerate(cfg.witness_map.entries):
+            for j, x in enumerate(row):
+                rows[gamma[i]][gamma[j]] = x
+        return Witness(2, RatMatrix.from_rows(rows),
+                       direct_sum_of([FreeOfRank(1), TowerForm(cfg.gamma1)]),
+                       direct_sum_of([FreeOfRank(1), TowerForm(cfg.gamma2)]),
+                       name="z-plus-squares")
+
+    def test_z_plus_fuchs_witness_valid(self):
+        assert check_witness(self.z_plus_fuchs_witness())
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a witness side "
+                       "with a free or rank-1 summand matches no pool")
+    def test_z_plus_fuchs_witness_certifies(self):
+        w = self.z_plus_fuchs_witness()
+        assert compare_free_parts(w.src, w.dst, (w,)).verdict == "isomorphic"
+
+    def test_free_side_matches_tower_without_matrices(self):
+        # Z^2 written as a tower with no connecting matrix is a pool key,
+        # and a witness side Z^2 matches it
+        t = Tower(2, (IntMatrix.from_rows([[2, 1], [1, 1]]),))
+        w = Witness(1, RatMatrix.from_rows([[2, 1], [1, 1]]), FreeOfRank(2),
+                    TowerForm(t), name="unimodular")
+        res = compare_free_parts(TowerForm(Tower(2)), TowerForm(t), (w,))
+        assert res.verdict == "isomorphic" and "unimodular" in res.evidence
 
     def test_witness_certifies_isomorphism(self):
         cfg = default_pair_config()

@@ -1,8 +1,10 @@
 """Group-description file parsing, validation and round-trips."""
 
+import json
+
 import pytest
 
-from abelk import (AbGroupDesc, FreeOfRank, ParseError, Rank1, TorsionDesc,
+from abelk import (AbGroupDesc, FreeOfRank, ParseError, TorsionDesc,
                    TowerForm, ValidationError, emit_group, parse_group_file,
                    parse_witness_file, tower_type)
 from abelk.groups import DirectSum, flatten
@@ -32,7 +34,7 @@ class TestParsing:
     def test_rank1_with_infinity_token(self):
         g = parse_group_file(
             '{"free": {"rank1": {"2": "inf", "5": 3}}}')
-        assert isinstance(g.free, Rank1)
+        assert isinstance(g.free, TowerForm) and g.free.tower.rank == 1
         assert str(tower_type(g.free.tower)) == "type[2^inf]"
 
     def test_tower_and_sum(self):
@@ -117,12 +119,19 @@ class TestRoundTrip:
         """{"free": {"sum": [{"free": 2},
             {"tower": {"rank": 2, "prefix": [[[3, 1], [0, 2]]],
                        "period": [[[2, 15], [1, 2]]]}}]}}""",
+        """{"free": {"sum": [{"rank1": {"3": 4, "7": "inf"}},
+                             {"rank1": {"5": 0}}, {"free": 1}]}}""",
     ]
 
     @pytest.mark.parametrize("text", CASES)
     def test_parse_emit_parse(self, text):
         g = parse_group_file(text)
         assert parse_group_file(emit_group(g)) == g
+
+    def test_rank1_is_written_as_its_tower(self):
+        g = parse_group_file('{"free": {"rank1": {"2": "inf", "5": 3}}}')
+        assert json.loads(emit_group(g))["free"] == {"tower": {
+            "rank": 1, "prefix": [[[125]]], "period": [[[2]]]}}
 
     def test_name_is_preserved_in_emission(self):
         g = parse_group_file('{"free": {"free": 1}}')

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from abelk import (GroupElement, INF, IntMatrix, Tower, direct_sum_towers,
-                   height, is_divisible, membership, parse_group_file,
-                   smith_normal_form, tensor_towers)
+from abelk import (FreeOfRank, GroupElement, INF, IntMatrix, Tower,
+                   direct_sum_towers, height, is_divisible, membership,
+                   parse_group_file, smith_normal_form, tensor_towers)
 from abelk import towers
 from abelk.towers import is_prime, mod_p_rank
 from abelk import wedge
@@ -156,7 +156,7 @@ class TestModPRank:
             if expected is not None:
                 assert got == expected, (t, p)
             assert got == rank_mod_p_by_smith(
-                towers.stable_period_power(t, p, 1), p), (t, p)
+                towers.stable_period_power(t, p), p), (t, p)
 
     def test_against_sympy(self):
         for t, p, _ in jordan_towers(713, 80):
@@ -415,6 +415,32 @@ class TestFittingBound:
         v = (Fraction(1, SEMIPRIME),)
         assert membership(rank1(period=[SEMIPRIME]), v) == GroupElement(1, (1,))
         assert membership(rank1(period=[998244353]), v) is None
+
+
+class TestNoConnectingMatrices:
+    """A tower with no connecting matrix is Z^rank: no answer about it
+    builds a rank x rank identity."""
+
+    def test_rank_5000_builds_no_identity(self, monkeypatch):
+        identity = IntMatrix.identity
+
+        def small_only(n):
+            if n > 64:
+                raise AssertionError(f"{n} x {n} identity built")
+            return identity(n)
+
+        monkeypatch.setattr(IntMatrix, "identity", staticmethod(small_only))
+        n = 5000
+        g = parse_group_file('{"free": {"tower": {"rank": %d}}}' % n)
+        t = g.free.tower
+        assert wedge.k1(g) == wedge.k0(g) == FreeOfRank(2 ** (n - 1))
+        zeros = (0,) * (n - 1)
+        assert height(t, GroupElement(0, (1,) + zeros), 2) == 0
+        assert height(t, GroupElement(0, (12,) + zeros), 2) == 2
+        assert height(t, GroupElement(3, zeros + (8,)), 2) == 3
+        assert membership(t, (Fraction(6),) + zeros) == \
+            GroupElement(0, (6,) + zeros)
+        assert membership(t, (Fraction(1, 2),) + zeros) is None
 
 
 class TestCommonShape:

@@ -10,7 +10,7 @@ import pytest
 
 from abelk import (AbGroupDesc, CompletelyDecomposable, DirectSum,
                    FgAbGroup, FreeOfRank, GroupElement, INF, IntMatrix,
-                   Rank1, Supernatural, TorsionDesc, Tower, TowerForm,
+                   Supernatural, TorsionDesc, Tower, TowerForm,
                    TypeClass, compare_k1, direct_sum_of, is_divisible, k0,
                    k1, rank1_tower_from_supernatural,
                    wedge_divisible_by_search, wedge_power_tower,
@@ -167,8 +167,9 @@ class TestWorkDone:
 
     def test_each_tensor_product_once(self, monkeypatch):
         # Z^2 (+) rank-3 tower (+) rank-2 tower: degrees (1-3, 1-2) give 6
-        # products per K-group, each reached from every free degree of
-        # matching parity (18 products for k1 and k0 together)
+        # products and 5 lone powers per K-group, each reached from every
+        # free degree of matching parity (18 products for k1 and k0
+        # together); a lone power goes through tensor_towers unchanged
         rng = random.Random(89)
         g = AbGroupDesc.torsion_free(direct_sum_of([
             FreeOfRank(2),
@@ -186,8 +187,9 @@ class TestWorkDone:
         for kgroup in (k1, k0):
             before = len(built)
             kgroup(g)
-            assert len(set(built[before:])) == len(built) - before == 6
-        assert len(built) == 12
+            assert len(set(built[before:])) == len(built) - before == 11
+            assert sum(len(fs) == 2 for fs in built[before:]) == 6
+        assert len(built) == 22
 
     def test_no_determinant_beyond_the_base_rank(self, monkeypatch):
         sizes = []
@@ -243,7 +245,7 @@ class TestWorkDone:
         for _ in range(30):
             parts = [TowerForm(rand_tower(rng, rng.randint(2, 4), 2, 2))
                      for _ in range(rng.randint(1, 2))]
-            parts.append(Rank1(rand_tower(rng, 1, 1, 1)))
+            parts.append(TowerForm(rand_tower(rng, 1, 1, 1)))
             sums.append(flatten(direct_sum_of(parts)))
         for s in sums:
             assert (compare._top_wedge_characteristic(s)
@@ -382,7 +384,7 @@ class TestK1:
         for _ in range(50):
             rank = rng.choice([1, 2])
             t = rand_tower(rng, rank)
-            f = Rank1(t) if rank == 1 else TowerForm(t)
+            f = TowerForm(t)
             assert k1(AbGroupDesc.torsion_free(f)) == f
 
     def test_four_rank_decomposition(self):
@@ -450,7 +452,7 @@ def random_sum(rng: random.Random):
         elif kind < 0.45:
             part = FreeOfRank(rng.randint(0, 2))
         elif kind < 0.65:
-            part = Rank1(rng.choice((rank1_tower_from_supernatural(sup()),
+            part = TowerForm(rng.choice((rank1_tower_from_supernatural(sup()),
                                      rand_tower(rng, 1, 1, 1))))
         elif kind < 0.8:
             part = CompletelyDecomposable(tuple(
