@@ -244,19 +244,15 @@ def _p_rank(s: Summands, p: int) -> int:
 
 def _tower_multiset(f: FreePart, copies: int) -> Counter | None:
     """summand_towers(f) * copies, counted instead of listed, or None when
-    f has a rank-1 summand: the pools of compare_free_parts hold towers of
-    rank >= 2 only, so such a side never fits.  Z^n stays the tower of
-    rank n with no connecting matrix, which a pool holds when a group
-    file writes it so."""
+    f has a free or rank-1 summand: the pools of compare_free_parts hold
+    only the towers of rank >= 2 that are not free, so such a side never
+    fits."""
     s = flatten(f)
     if s.has_omega:
         raise ValueError(NO_TOWER_FORM)
-    if s.types:
+    if s.types or s.free_rank:
         return None
-    out = Counter(s.towers)
-    if s.free_rank:
-        out[Tower.free(s.free_rank)] += 1
-    return Counter({t: c * copies for t, c in out.items()})
+    return Counter({t: c * copies for t, c in s.towers.items()})
 
 
 def _format_counts(counts: dict) -> str:
@@ -311,7 +307,7 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
             "verdict", NOT_ISOMORPHIC,
             f"type multiset {_format_counts(c1)} vs {_format_counts(c2)}")
 
-    # towers of rank >= 2 present: attempt a certified summand matching
+    # non-free towers of rank >= 2 present: attempt a certified matching
     pool1, pool2 = Counter(s1.towers), Counter(s2.towers)
     used = []
     for w in witnesses:

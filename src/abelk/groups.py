@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fg import TorsionDesc
-from .towers import (Supernatural, Tower, TypeClass,
-                     rank1_tower_from_supernatural, tower_type,
+from .towers import (ZERO_CHARACTERISTIC, Supernatural, Tower, TypeClass,
+                     is_free, rank1_tower_from_supernatural, tower_type,
                      validate_tower)
 
 OMEGA_COPIES = "omega"  # the countably infinite multiplicity
@@ -143,8 +143,10 @@ NO_TOWER_FORM = "omega-amplified parts have no finite tower form"
 class Summands:
     """A free part as a multiset: Z^free_rank, and the count of each
     rank-1 summand, keyed by its exact characteristic, and of each tower
-    summand of rank >= 2.  Two characteristics of one type stay two keys,
-    so each summand keeps its finite exponents."""
+    summand of rank >= 2 that is not free.  A free tower (towers.is_free:
+    every connecting determinant is +-1) counts in free_rank, or as the
+    zero characteristic when it has omega copies.  Two characteristics of
+    one type stay two keys, so each summand keeps its finite exponents."""
 
     free_rank: int
     types: dict[Supernatural, Copies]
@@ -165,7 +167,8 @@ class Summands:
 def _walk(f: FreePart):
     """Every summand of f in the order of the tree, as (key, copies): the
     key is an int rank for a free summand, the characteristic of a rank-1
-    summand, or a tower of rank >= 2."""
+    summand, or a tower of rank >= 2, kept as written even when it is
+    free, so that summand_towers lists the towers a witness reads."""
     if isinstance(f, DirectSum):
         for q in f.parts:
             yield from _walk(q)
@@ -184,8 +187,12 @@ def _walk(f: FreePart):
 def flatten(f: FreePart) -> Summands:
     free_rank, types, towers = 0, {}, {}
     for key, copies in _walk(f):
+        if isinstance(key, Tower) and is_free(key):
+            # Z^rank: a rank per copy, or omega copies of the zero type
+            # as amplify counts them
+            key = key.rank if copies != OMEGA_COPIES else ZERO_CHARACTERISTIC
         if isinstance(key, int):
-            free_rank += key
+            free_rank += key * copies
         else:
             counts = towers if isinstance(key, Tower) else types
             counts[key] = add_copies(counts.get(key, 0), copies)
@@ -206,7 +213,7 @@ def summand_towers(f: FreePart) -> list[Tower]:
             towers.extend([key] * copies)
         else:
             types.extend([rank1_tower_from_supernatural(key)] * copies)
-    return ([Tower.free(free_rank)] if free_rank else []) + types + towers
+    return ([Tower(free_rank)] if free_rank else []) + types + towers
 
 
 def describe(f: FreePart) -> str:

@@ -118,18 +118,14 @@ class Tower:
     makes its entries on first read of prefix or period: by stage_matrix,
     transition, period_product, the p-heights and membership walks, or an
     equality that its recipe does not settle.  It overrides the members
-    that read entries here (connecting_dets, _determinant_primes,
-    _scalars, _p_rank and _same) to compute them from its recipe, so its
-    hashing, p-ranks, _is_trivial_tower and validate_tower read no entries.
+    that read entries here (connecting_dets, _determinant_primes, _p_rank
+    and _same) to compute them from its recipe, so its hashing, p-ranks,
+    is_free and validate_tower read no entries.
     """
 
     rank: int
     prefix: tuple[IntMatrix, ...] = ()
     period: tuple[IntMatrix, ...] = ()
-
-    @staticmethod
-    def free(rank: int) -> "Tower":
-        return Tower(rank)
 
     def stage_matrix(self, s: int) -> IntMatrix:
         """Connecting map from stage s to stage s + 1."""
@@ -209,18 +205,6 @@ class Tower:
         for d in self.connecting_dets:
             primes.update(factorize(d))
         return frozenset(primes)
-
-    @functools.cached_property
-    def _scalars(self) -> tuple[int | None, ...]:
-        """For each connecting matrix, prefix then period: c when it is c
-        times the identity for c = +-1, else None.  A tower with no
-        connecting matrix builds no identity."""
-        if not (self.prefix or self.period):
-            return ()
-        ident = IntMatrix.identity(self.rank)
-        minus = -ident
-        return tuple(1 if m == ident else -1 if m == minus else None
-                     for m in self.prefix + self.period)
 
     def _p_rank(self, p: int) -> int:
         """mod_p_rank from the period matrices, once per prime."""
@@ -566,9 +550,9 @@ def _stagewise(towers, combine):
 
 def _stage_value(t: Tower, s: int, values):
     """The entry of values, one per connecting matrix of t (prefix then
-    period, like connecting_dets and _scalars), for t.stage_matrix(s),
-    found from the stage counts; 1, the determinant and scalar of the
-    identity, past the prefix of an empty period."""
+    period, like connecting_dets), for t.stage_matrix(s), found from the
+    stage counts; 1, the determinant of the identity, past the prefix of
+    an empty period."""
     a, b = t.stage_counts
     if s < a:
         return values[s]
@@ -589,15 +573,13 @@ def direct_sum_towers(towers) -> Tower:
     return Tower(rank, prefix, period)
 
 
-def _is_trivial_tower(t: Tower) -> bool:
-    """Whether every connecting matrix is the identity.  A connecting
-    determinant other than 1 (-I of odd rank has det -1) settles it from
-    the cached determinants, with no identity matrix built; otherwise the
-    scalar stages decide it, which a tower built from others reads off its
-    recipe, so its entries are not built."""
-    if any(d != 1 for d in t.connecting_dets):
-        return False
-    return all(c == 1 for c in t._scalars)
+def is_free(t: Tower) -> bool:
+    """Whether t presents Z^rank: every connecting determinant is +-1.
+    Each connecting map is then in GL_rank(Z), so every stage lattice is
+    Z^rank in stage-0 coordinates.  Only the determinants are read, which
+    a tower built from others derives from its recipe, so no entry is
+    built."""
+    return all(d in (1, -1) for d in t.connecting_dets)
 
 
 class _Tensor(_Built):
@@ -611,31 +593,19 @@ class _Tensor(_Built):
     def _build(self):
         return _stagewise(self.factors, IntMatrix.kron)
 
-    def _factor_values(self, name: str) -> list[list]:
-        """For each stage, the factors' values there (see _stage_value)
-        of their per-connecting-matrix attribute name."""
-        return [[_stage_value(f, s, getattr(f, name)) for f in self.factors]
-                for s in range(sum(self.stage_counts))]
-
     @functools.cached_property
     def connecting_dets(self) -> tuple[int, ...]:
         # det(A (x) B) = det(A)^rank(B) * det(B)^rank(A), for any number
         # of factors: each determinant to the product of the other ranks
-        return tuple(math.prod(d ** (self.rank // f.rank)
-                               for f, d in zip(self.factors, ds))
-                     for ds in self._factor_values("connecting_dets"))
+        return tuple(math.prod(_stage_value(f, s, f.connecting_dets)
+                               ** (self.rank // f.rank) for f in self.factors)
+                     for s in range(sum(self.stage_counts)))
 
     @functools.cached_property
     def _determinant_primes(self) -> frozenset[int]:
         # every exponent in connecting_dets is >= 1
         return frozenset().union(*(f.determinant_primes()
                                    for f in self.factors))
-
-    @functools.cached_property
-    def _scalars(self) -> tuple[int | None, ...]:
-        # A (x) B is c I iff A = a I and B = b I with ab = c
-        return tuple(None if None in cs else math.prod(cs)
-                     for cs in self._factor_values("_scalars"))
 
     def _p_rank(self, p: int) -> int:
         """The product of the factors' p-ranks.  (Q1 (x) Q2)^N =
@@ -661,17 +631,10 @@ class _Tensor(_Built):
 def tensor_towers(towers) -> Tower:
     """Tower of the tensor product: Kronecker products stage by stage,
     built on first read (_Tensor)."""
-    towers = [t for t in towers]
+    towers = list(towers)
     if not towers:
         raise ValueError("tensor of no towers")
-    # drop trivial rank-1 factors that are identity at every stage
-    nontrivial = [t for t in towers
-                  if not (t.rank == 1 and _is_trivial_tower(t))]
-    if not nontrivial:
-        return Tower.free(1)
-    if len(nontrivial) == 1:
-        return nontrivial[0]
-    return _Tensor(nontrivial)
+    return towers[0] if len(towers) == 1 else _Tensor(towers)
 
 
 def _reduce(m: IntMatrix, n: int) -> IntMatrix:

@@ -10,22 +10,24 @@ C(T^, Z) (x) the even or odd exterior powers of F by the Kuenneth theorem
 wedge of a tower is the tower of compound matrices.  Lambda of a direct
 sum is the tensor product of the summands' exterior algebras: a K-group
 folds them as counts keyed by (degree mod 2, tensor factors), free part
-first and then in flatten order.  Each exterior power of each distinct
-summand tower is made once, and each distinct tensor product once, with
-its count and its factors sorted by summand.  Their entries are built on
-first read, from one all-orders compound pass per connecting matrix of
-the summand.  k1 and k0 never read them, and compare_k1 only to tell
-apart two tensor products of equal rank, stage counts and determinants
-whose factors are not equal pair by pair.
+first and then in flatten order.  A summand whose connecting
+determinants are all +-1 (towers.is_free) is free and joins the free
+part, so no tensor product of the others is free.  Each exterior power
+of each distinct summand tower is made once, and each distinct tensor
+product once, with its count and its factors sorted by summand.  Their
+entries are built on first read, from one all-orders compound pass per
+connecting matrix of the summand.  k1 and k0 never read them, and
+compare_k1 only to tell apart two tensor products of equal rank, stage
+counts and determinants whose factors are not equal pair by pair.
 
 Each exterior power but the first is a _Wedge, and each tensor product a
 towers._Tensor: a tower that holds only its recipe and computes from it,
 on its own overrides of the Tower members, what a comparison reads (the
-connecting determinants, p-ranks, determinant primes, scalar stages and
-equality; see towers.Tower), none of it on a compound or Kronecker
-matrix.  So the Hessenberg kernel of mod_p_rank and factorize only ever
-see a summand tower of the input, at its own rank.  wedge_power_tower
-builds the compound matrices and derives nothing: it is the reference.
+connecting determinants, p-ranks, determinant primes and equality; see
+towers.Tower), none of it on a compound or Kronecker matrix.  So the
+Hessenberg kernel of mod_p_rank and factorize only ever see a summand
+tower of the input, at its own rank.  wedge_power_tower builds the
+compound matrices and derives nothing: it is the reference.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .matrices import (IntMatrix, binomial, compound_determinant,
                        compound_matrices, compound_matrix)
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
                      FreePart, KGroupDesc, TowerForm, direct_sum_of, flatten)
-from .towers import (Tower, TypeClass, _Built, _is_trivial_tower,
-                     is_divisible, mod_p_rank, rank1_tower_from_supernatural,
+from .towers import (Tower, TypeClass, _Built, is_divisible, is_free,
+                     mod_p_rank, rank1_tower_from_supernatural,
                      stable_period_power, tensor_towers, tower_type,
                      unit_element)
 
@@ -73,17 +75,6 @@ class _Wedge(_Built):
     def _determinant_primes(self) -> frozenset[int]:
         # those of the base, since C(n-1, k-1) >= 1 for k >= 1
         return self.base.determinant_primes() if self.k else frozenset()
-
-    @functools.cached_property
-    def _scalars(self) -> tuple[int | None, ...]:
-        """At rank 1 a stage is +-1 when its determinant is.  Otherwise
-        1 <= k <= n - 1, where Lambda^k A is a multiple of the identity
-        only when A is, and Lambda^k (c I) = c^k I."""
-        if self.rank == 1:
-            return tuple(d if d in (1, -1) else None
-                         for d in self.connecting_dets)
-        return tuple(None if c is None else c ** self.k
-                     for c in self.base._scalars)
 
     def _p_rank(self, p: int) -> int:
         """C(r, k) for the p-rank r of the base.  The period product is
@@ -171,13 +162,13 @@ def _k_group(f: FreePart, parity: int) -> KGroupDesc:
                          "(sys.get_int_max_str_digits)")
     if parity and 0 < rank <= 2:
         return f  # the only odd exterior power is the first
-    # summands with structurally trivial towers join the free part; a
-    # factor (i, d) is powers[i][d], Lambda^d of the i-th other summand,
-    # and order[i] sorts that summand by rank, then prefix and period
+    # free summands (is_free) join the free part; a factor (i, d) is
+    # powers[i][d], Lambda^d of the i-th other summand, and order[i] sorts
+    # that summand by rank, then prefix and period
     free_rank, algebras, powers, order = s.free_rank, [], [], []
     for t, c in [*((rank1_tower_from_supernatural(sup), c)
                    for sup, c in s.types.items()), *s.towers.items()]:
-        if _is_trivial_tower(t):
+        if is_free(t):
             free_rank += c * t.rank
             continue
         order.append((t.rank, [m.entries for m in t.prefix],
@@ -199,15 +190,21 @@ def _k_group(f: FreePart, parity: int) -> KGroupDesc:
     for (p, key), n in terms.items():
         if p != parity:
             continue
+        # the empty product is Z, and no other is free: a factor
+        # Lambda^d t (d >= 1) of a summand t that is not free has
+        # det(A)^C(rank - 1, d - 1) at a stage where t has a determinant
+        # det(A) other than +-1, and a tensor product has at that stage a
+        # power of it times nonzero integers
+        if not key:
+            out_free += n
+            continue
         # Kronecker factors in the order of their summands, so equal
         # products are equal towers whatever order the summands came in;
         # permuting factors conjugates each stage by one permutation
         factors = [powers[i][d]
                    for i, d in sorted(key, key=lambda x: (order[x[0]], x[1]))]
-        t = tensor_towers(factors) if factors else Tower.free(1)
-        if _is_trivial_tower(t):
-            out_free += n * t.rank
-        elif t.rank > 1 or n == 1:
+        t = tensor_towers(factors)
+        if t.rank > 1 or n == 1:
             parts.append(TowerForm(t, n))
         else:
             parts.append(CompletelyDecomposable(((tower_type(t), n),)))

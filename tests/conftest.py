@@ -12,7 +12,7 @@ from abelk import (INF, DimensionMismatchError, GroupElement, IntMatrix,
 from abelk.groups import (FreeOfRank, TowerForm, direct_sum_of,
                           flatten, summand_towers)
 from abelk.matrices import binomial
-from abelk.towers import _is_trivial_tower, tensor_towers
+from abelk.towers import tensor_towers
 from abelk.wedge import _wedge_towers
 
 
@@ -253,14 +253,20 @@ def naive_top_wedge_characteristic(s) -> Supernatural:
     return Supernatural.of(total)
 
 
+def _listed_is_free(t) -> bool:
+    """Whether every connecting matrix of t, read entry by entry, has
+    determinant +-1, so that t presents Z^rank."""
+    return all(abs(m.det()) == 1 for m in t.prefix + t.period)
+
+
 def _listed_tensor_of_powers(powers, degrees):
     """The tensor product of the exterior powers powers[i][degrees[i]],
-    as a free summand when its tower is trivial."""
+    as a free summand when its tower is free."""
     factors = [w[d] for w, d in zip(powers, degrees) if d >= 1]
     if not factors:
         return FreeOfRank(1)
     summand = factors[0] if len(factors) == 1 else tensor_towers(factors)
-    if _is_trivial_tower(summand):
+    if _listed_is_free(summand):
         return FreeOfRank(summand.rank)
     return TowerForm(summand)
 
@@ -273,7 +279,7 @@ def listed_odd_even_sum(f, parity: int):
     free_rank = 0
     towers = []
     for t in summand_towers(f):
-        if _is_trivial_tower(t):
+        if _listed_is_free(t):
             free_rank += t.rank
         else:
             towers.append(t)

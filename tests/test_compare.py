@@ -12,7 +12,7 @@ from abelk import (AbGroupDesc, CompletelyDecomposable,
                    Witness, amplify, check_witness, compare_free_parts,
                    compare_k1, compare_unitary, describe, direct_sum_of,
                    rank1_tower_from_supernatural, unitary_invariant)
-from abelk import compare
+from abelk import compare, k0, k1, wedge
 from abelk.gallery import default_pair_config
 from abelk.groups import (OMEGA_COPIES, flatten, summand_towers,
                           times_copies)
@@ -266,20 +266,42 @@ class TestWitness:
     def test_z_plus_fuchs_witness_valid(self):
         assert check_witness(self.z_plus_fuchs_witness())
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a witness side "
-                       "with a free or rank-1 summand matches no pool")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: a witness "
+                       "side with a free or rank-1 summand matches no pool")
     def test_z_plus_fuchs_witness_certifies(self):
+        # w certifies (Z + Gamma1)^2 = (Z + Gamma2)^2, the pair it covers
         w = self.z_plus_fuchs_witness()
-        assert compare_free_parts(w.src, w.dst, (w,)).verdict == "isomorphic"
+        a, b = (direct_sum_of([side] * 2) for side in (w.src, w.dst))
+        assert compare_free_parts(a, b, (w,)).verdict == "isomorphic"
+
+    def test_z_plus_fuchs_witness_leaves_one_copy_open(self):
+        # Hom(Gamma_i, Z) = 0, so an isomorphism Z + Gamma1 -> Z + Gamma2
+        # would map Gamma1 onto Gamma2: the one-copy pair is not
+        # isomorphic, and the two-copy witness must not say it is
+        w = self.z_plus_fuchs_witness()
+        for a, b in ((w.src, w.dst), (w.dst, w.src)):
+            assert compare_free_parts(a, b, (w,)).verdict != "isomorphic"
 
     def test_free_side_matches_tower_without_matrices(self):
-        # Z^2 written as a tower with no connecting matrix is a pool key,
-        # and a witness side Z^2 matches it
+        # towers whose connecting determinants are all +-1 are Z^2: the
+        # pair is decided in the decidable class, the witness unread
         t = Tower(2, (IntMatrix.from_rows([[2, 1], [1, 1]]),))
         w = Witness(1, RatMatrix.from_rows([[2, 1], [1, 1]]), FreeOfRank(2),
                     TowerForm(t), name="unimodular")
         res = compare_free_parts(TowerForm(Tower(2)), TowerForm(t), (w,))
-        assert res.verdict == "isomorphic" and "unimodular" in res.evidence
+        assert res.verdict == "isomorphic"
+        assert res.evidence.startswith("equal rank and type multiset")
+        shear = Tower(2, (), (IntMatrix.from_rows([[1, 1], [0, 1]]),))
+        minus = Tower(2, (), (IntMatrix.from_rows([[-1, 0], [0, -1]]),))
+        for t in (Tower(2), shear, minus):
+            for c in (1, 3, OMEGA_COPIES):
+                z = amplify(FreeOfRank(2), c)
+                for f1, f2 in ((z, TowerForm(t, c)), (TowerForm(t, c), z)):
+                    res = compare_free_parts(f1, f2)
+                    assert res.verdict == "isomorphic", (t, c)
+                    assert res.evidence.startswith(
+                        "equal type multisets" if c == OMEGA_COPIES
+                        else "equal rank and type multiset"), (t, c)
 
     def test_witness_certifies_isomorphism(self):
         cfg = default_pair_config()
@@ -500,6 +522,32 @@ def conjugated(t, rng):
                  tuple(u @ m @ inv for m in t.period))
 
 
+def unimodular_towers(seed: int):
+    """(t, u, in_period): 30 seeded towers t of rank n <= 4 whose stages
+    are products of elementary matrices and sign flips, so that t is Z^n,
+    and u, t with one more stage diag(2, 1, ..., 1) in its prefix or, when
+    in_period, in its period."""
+    rng = random.Random(seed)
+
+    def gl(n):
+        u, _ = unimodular_pair(rng, n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        return IntMatrix.from_rows([[c * x for x in row]
+                                    for c, row in zip(signs, u.entries)])
+
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        prefix = [gl(n) for _ in range(rng.randint(0, 2))]
+        period = [gl(n) for _ in range(rng.randint(0, 2))]
+        t = Tower(n, tuple(prefix), tuple(period))
+        in_period = rng.random() < 0.5
+        stages = period if in_period else prefix
+        stages.insert(rng.randint(0, len(stages)), IntMatrix.from_rows(
+            [[(2 if i == 0 else 1) * int(i == j) for j in range(n)]
+             for i in range(n)]))
+        yield t, Tower(n, tuple(prefix), tuple(period)), in_period
+
+
 TORSIONS = (TorsionDesc.trivial(), TorsionDesc(FgAbGroup(0, (2, 6))),
             TorsionDesc.countably_infinite())
 
@@ -519,6 +567,70 @@ class TestMetamorphic:
                         compare_unitary(AbGroupDesc(tors, a),
                                         AbGroupDesc(tors, b))):
                 assert res.verdict != "not_isomorphic", (t, res)
+
+    def test_unimodular_towers_are_free(self):
+        # every presentation of Z^n is Z^n, in both orders and at every
+        # torsion cardinal; a rank-1 tower is read by its type, here that
+        # of the integers
+        for t, _, _ in unimodular_towers(211):
+            z, f = FreeOfRank(t.rank), TowerForm(t)
+            s = flatten(f)
+            assert (s.free_rank, s.types) == (
+                (t.rank, {}) if t.rank > 1 else (0, {Supernatural(): 1})), t
+            for a, b in ((z, f), (f, z)):
+                assert compare_free_parts(a, b).verdict == "isomorphic", t
+                for tors in TORSIONS:
+                    res = compare_unitary(AbGroupDesc(tors, a),
+                                          AbGroupDesc(tors, b))
+                    assert res.verdict == "isomorphic", (t, tors)
+
+    def test_unimodular_towers_have_free_k_groups(self):
+        # k1 of rank <= 2 returns its input as written, which compare_k1
+        # still tells is free
+        for t, _, _ in unimodular_towers(213):
+            g = AbGroupDesc.torsion_free(TowerForm(t))
+            z = AbGroupDesc.free_abelian(t.rank)
+            assert describe(k0(g)) == describe(k0(z)), t
+            if t.rank > 2:
+                assert describe(k1(g)) == describe(k1(z)), t
+            else:
+                assert k1(g) == g.free
+            assert compare_k1(g, z).verdict == "isomorphic", t
+            assert compare_k1(z, g).verdict == "isomorphic", t
+
+    def test_a_stage_of_determinant_two_does_not_fold(self):
+        # in the period it separates at p = 2; in the prefix the group is
+        # still Z^n, told at rank 1 by its type, but the tower stays in
+        # the pool with its finite exponents, so the answer stays unknown
+        for _, u, in_period in unimodular_towers(215):
+            n, f = u.rank, TowerForm(u)
+            assert flatten(f).free_rank == 0, u
+            expected = ("not_isomorphic" if in_period
+                        else "isomorphic" if n == 1 else "unknown")
+            for a, b in ((FreeOfRank(n), f), (f, FreeOfRank(n))):
+                assert compare_free_parts(a, b).verdict == expected, u
+            if n > 1:
+                g = AbGroupDesc.torsion_free(f)
+                assert (describe(k0(g))
+                        != describe(k0(AbGroupDesc.free_abelian(n)))), u
+
+    def test_folding_reads_no_entries(self, monkeypatch):
+        # is_free reads determinants: no compound or Kronecker matrix is
+        # built to fold a tower, or to keep one
+        def refused(*args):
+            raise AssertionError("entries built")
+
+        def outputs(v):
+            g = AbGroupDesc.torsion_free(TowerForm(v))
+            return (describe(k1(g)), describe(k0(g)),
+                    compare_free_parts(FreeOfRank(v.rank), g.free))
+
+        cases = [v for t, u, _ in unimodular_towers(217) for v in (t, u)]
+        expected = [outputs(v) for v in cases]
+        monkeypatch.setattr(wedge, "compound_matrices", refused)
+        monkeypatch.setattr(IntMatrix, "kron", refused)
+        for v, out in zip(cases, expected):
+            assert outputs(Tower(v.rank, v.prefix, v.period)) == out, v
 
     def test_adding_z_keeps_the_verdict(self):
         # not asserted for K1: K1(G (+) Z) = K1(G) (+) K0(G); nor for

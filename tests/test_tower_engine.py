@@ -141,7 +141,7 @@ class TestModPRank:
                     (t, p)
 
     def test_rank1_empty_period(self):
-        for t in (Tower.free(1), rank1(prefix=[2]), rank1(prefix=[6, 5])):
+        for t in (Tower(1), rank1(prefix=[2]), rank1(prefix=[6, 5])):
             for p in (2, 3, 5):
                 assert mod_p_rank(t, p) == 1
 

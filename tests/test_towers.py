@@ -12,7 +12,7 @@ from abelk import (GroupElement, INF, IntMatrix, Supernatural, Tower,
                    membership, push_to_stage, rank1_isomorphic,
                    rank1_tower_from_supernatural, tensor_towers, tower_type,
                    types_equivalent, unit_element, validate_tower)
-from abelk.towers import _is_trivial_tower, mod_p_rank
+from abelk.towers import is_free, mod_p_rank
 
 from conftest import (naive_divisible, rand_tower, rat_apply, to_rational,
                       unroll_depth)
@@ -78,6 +78,9 @@ class TestPerTowerCaches:
 
 
 class TestTrivialTower:
+    """is_free: a tower is Z^rank when every connecting determinant is
+    +-1."""
+
     def test_a_determinant_other_than_one_settles_it(self, monkeypatch):
         def refused(n):
             raise AssertionError("identity matrix built")
@@ -87,22 +90,32 @@ class TestTrivialTower:
         doubling = Tower(2, (IntMatrix.from_rows([[1, 0], [0, 1]]),),
                          (IntMatrix.from_rows([[2, 0], [0, 1]]),))
         monkeypatch.setattr(IntMatrix, "identity", staticmethod(refused))
-        # -I of odd rank has det -1: not trivial, and |det| 1 is not enough
-        assert not _is_trivial_tower(minus)
-        assert not _is_trivial_tower(doubling)
+        # only determinants are read: -I of odd rank (det -1) is free, a
+        # stage of det 2 is not, and no identity matrix is built
+        assert is_free(minus)
+        assert not is_free(doubling)
+        assert is_free(Tower(3))
 
-    def test_unit_determinants_compare_matrices(self):
+    def test_unit_determinants_are_free(self):
         minus2 = IntMatrix.from_rows([[-1, 0], [0, -1]])
         shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+        double = IntMatrix.from_rows([[2, 0], [0, 1]])
         ident = IntMatrix.identity(2)
-        assert _is_trivial_tower(Tower(2))
-        assert _is_trivial_tower(Tower(2, (ident,), (ident, ident)))
-        assert not _is_trivial_tower(Tower(2, (), (minus2,)))
-        assert not _is_trivial_tower(Tower(2, (ident,), (shear,)))
+        assert is_free(Tower(2))
+        assert is_free(Tower(2, (ident,), (ident, ident)))
+        assert is_free(Tower(2, (), (minus2,)))
+        assert is_free(Tower(2, (ident,), (shear,)))
+        # the prefix counts too: it keeps its finite exponents
+        assert not is_free(Tower(2, (double,), (shear,)))
 
-    def test_tensor_drops_only_identity_rank1_factors(self):
-        t = Tower(2, (), (IntMatrix.from_rows([[2, 1], [1, 3]]),))
-        assert tensor_towers([rank1(prefix=[1], period=[1, 1]), t]) is t
+    def test_tensor_keeps_every_factor(self):
+        q = IntMatrix.from_rows([[2, 1], [1, 3]])
+        t = Tower(2, (), (q,))
+        assert tensor_towers([t]) is t
+        one = rank1(prefix=[1], period=[1, 1])
+        kept = tensor_towers([one, t])
+        assert kept.factors == (one, t)
+        assert kept.prefix + kept.period == (q, q, q)
         negated = tensor_towers([rank1(period=[-1]), t])
         assert negated.period == (IntMatrix.from_rows([[-2, -1], [-1, -3]]),)
 
@@ -247,7 +260,7 @@ class TestHeight:
 
 class TestCharacteristic:
     def test_free_tower_is_zero(self):
-        t = Tower.free(2)
+        t = Tower(2)
         assert characteristic(t, GroupElement(0, (1, 0))) == Supernatural()
 
     def test_period_six(self):
@@ -352,4 +365,4 @@ class TestCombinations:
         t = Tower(2, (), (IntMatrix.from_rows([[2, 0], [0, 1]]),))
         assert mod_p_rank(t, 2) == 1
         assert mod_p_rank(t, 3) == 2
-        assert mod_p_rank(Tower.free(4), 5) == 4
+        assert mod_p_rank(Tower(4), 5) == 4

@@ -44,7 +44,7 @@ class TestWedgePowerTower:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            wedge_power_tower(Tower.free(2), 3)
+            wedge_power_tower(Tower(2), 3)
 
     def test_reference_derives_nothing(self, monkeypatch):
         # the p-rank of Lambda^2 of a rank-5 tower comes from its own
@@ -270,7 +270,7 @@ def entries_of_power(t: Tower, k: int):
 
 
 class TestLazyEquality:
-    """Equality, hashing and triviality of exterior powers decided from
+    """Equality, hashing and freeness of exterior powers decided from
     their bases, against the compound matrices."""
 
     @staticmethod
@@ -308,39 +308,46 @@ class TestLazyEquality:
                 assert hash(v) == hash(eager)
                 assert v == eager and eager == v
 
+    @staticmethod
+    def unit_and_double_stages(n: int):
+        """I, -I, a determinant-1 shear that is no scalar, and
+        diag(2, 1, ..., 1), of rank n."""
+        ident = IntMatrix.identity(n)
+        shear = IntMatrix.from_rows(
+            [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+             for i in range(n)])
+        double = IntMatrix.from_rows(
+            [[(2 if i == 0 else 1) * int(i == j) for j in range(n)]
+             for i in range(n)])
+        return ident, -ident, shear, double
+
     def test_trivial_powers_of_scalar_stages(self):
-        # stages +-I, and a determinant-1 shear that is no scalar
+        # a power is free iff its compound entries all have determinant
+        # +-1, decided from the base's determinants alone
         for n in (3, 4):
-            ident = IntMatrix.identity(n)
-            shear = IntMatrix.from_rows(
-                [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
-                 for i in range(n)])
-            for stages in itertools.product((ident, -ident, shear),
+            for stages in itertools.product(self.unit_and_double_stages(n),
                                             repeat=2):
                 t = Tower(n, stages[:1], stages[1:])
                 for k, v in enumerate(wedge._wedge_towers(t)):
-                    one = IntMatrix.identity(v.rank)
-                    assert (towers._is_trivial_tower(v) == all(
-                        m == one for m in entries_of_power(t, k))), (t, k)
+                    assert towers.is_free(v) == all(
+                        abs(m.det()) == 1
+                        for m in entries_of_power(t, k)), (t, k)
                     assert "_entries" not in v.__dict__
 
     def test_trivial_tensor_products_of_scalar_stages(self):
-        # Lambda^k (+-I) (x) Lambda^j (I, then +-I'): the identity iff the
-        # signs multiply to 1 at both stages
-        signs = (1, -1)
-        for s, r, k, j in itertools.product(signs, signs, (1, 2), (1, 2, 3)):
-            t = Tower(3, (), (IntMatrix.identity(3) if s == 1
-                              else -IntMatrix.identity(3),))
+        # Lambda^k t (x) Lambda^j u (k, j >= 1) is free iff t and u are
+        for a, b, k, j in itertools.product(range(4), range(4), (1, 2),
+                                            (1, 2, 3)):
+            t = Tower(3, (), (self.unit_and_double_stages(3)[a],))
             u = Tower(4, (IntMatrix.identity(4),),
-                      (IntMatrix.identity(4) if r == 1
-                       else -IntMatrix.identity(4),))
+                      (self.unit_and_double_stages(4)[b],))
             prod = towers.tensor_towers([wedge._wedge_towers(t)[k],
                                          wedge._wedge_towers(u)[j]])
-            trivial = towers._is_trivial_tower(prod)
+            free = towers.is_free(prod)
             assert "_entries" not in prod.__dict__
-            one = IntMatrix.identity(prod.rank)
-            assert trivial == all(m == one for m in prod.prefix + prod.period)
-            assert trivial == (s ** k == r ** j == 1)
+            assert free == all(abs(m.det()) == 1
+                               for m in prod.prefix + prod.period)
+            assert free == (towers.is_free(t) and towers.is_free(u))
 
     def test_tensor_products_compare_entries(self):
         pairs = list(itertools.islice(self.pairs(155), 10))
@@ -573,7 +580,7 @@ class TestCountedKGroups:
 
 class TestWedgeSquareType:
     def test_free_is_zero_type(self):
-        assert wedge_square_type(Tower.free(2)) \
+        assert wedge_square_type(Tower(2)) \
             == TypeClass(Supernatural())
 
     def test_half_integer_plane(self):
@@ -582,7 +589,7 @@ class TestWedgeSquareType:
 
     def test_rank_guard(self):
         with pytest.raises(ValueError):
-            wedge_square_type(Tower.free(3))
+            wedge_square_type(Tower(3))
 
 
 def naive_coprime_search(t: Tower, m: int) -> bool:
