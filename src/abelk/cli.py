@@ -207,7 +207,8 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         code, report = _run(args)
-    except (InputError, ParseError, ValidationError, ValueError) as e:
+    except (InputError, ParseError, ValidationError, ValueError,
+            OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -7,7 +7,9 @@ an integer matrix over a denominator and, in towers, the integer
 coefficients of minimal polynomials.  RatMatrix is a plain container of
 Fraction entries for witness maps as they are read from files; only
 rational_inverse computes with it.  Also provides Smith normal form with
-transform matrices and compound (exterior-power) matrices.
+transform matrices, and compound_matrix, the one compound kernel: the
+exterior-power matrix of a single order, which an exterior power builds
+only when its entries are read.
 """
 
 from __future__ import annotations
@@ -358,41 +360,6 @@ def compound_matrix(a: IntMatrix, k: int) -> IntMatrix:
         tuple(_bareiss([[row[j] for j in cs] for row in rs])
               for cs in col_sets)
         for rs in itertools.combinations(a.entries, k)))
-
-
-def compound_matrices(a: IntMatrix) -> list[IntMatrix]:
-    """compound_matrix(a, k) for every k = 0..min(rows, cols), in one pass.
-
-    Each order-k minor is expanded along the first row r0 of its row set R:
-    minor(R, C) = sum_j (-1)^j a[r0][c_j] minor(R - r0, C - c_j), read from
-    the order-(k-1) layer, so it costs k products instead of a Bareiss
-    elimination.  Reaching one high order this way builds every layer
-    below it, so a single order goes through compound_matrix instead.
-    """
-    out = [IntMatrix.identity(1)]
-    prev: list[tuple[int, ...]] = [(1,)]
-    prev_rows: dict[tuple[int, ...], int] = {(): 0}
-    prev_cols: dict[tuple[int, ...], int] = {(): 0}
-    for k in range(1, min(a.rows, a.cols) + 1):
-        row_sets = list(itertools.combinations(range(a.rows), k))
-        col_sets = list(itertools.combinations(range(a.cols), k))
-        # per column set C: (c_j, index of C - c_j in the previous layer,
-        # sign of the cofactor)
-        plans = [tuple((c, prev_cols[cs[:j] + cs[j + 1:]], -1 if j % 2 else 1)
-                       for j, c in enumerate(cs))
-                 for cs in col_sets]
-        layer = []
-        for rs in row_sets:
-            top = a.entries[rs[0]]
-            sub = prev[prev_rows[rs[1:]]]
-            layer.append(tuple(
-                sum(sg * top[c] * sub[i] for c, i, sg in plan if top[c])
-                for plan in plans))
-        out.append(IntMatrix(tuple(layer)))
-        prev = layer
-        prev_rows = {rs: i for i, rs in enumerate(row_sets)}
-        prev_cols = {cs: i for i, cs in enumerate(col_sets)}
-    return out
 
 
 def compound_determinant(det_a: int, n: int, k: int) -> int:

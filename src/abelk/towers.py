@@ -109,17 +109,17 @@ class Tower:
 
     Towers hash on their rank, stage counts (prefix length, period length)
     and connecting determinants, and are equal exactly when their entries
-    are, so equal towers hash equal.  Equality looks at the entries
-    (_same) only after rank, stage counts and determinants agree, and
-    never for rank 1, where a 1 x 1 matrix is its determinant.
+    are, so equal towers hash equal.  Once rank, stage counts and
+    determinants agree, equality asks that every scalar ratio of their
+    connecting matrices (_ratios) be (1, 1).
 
     A tower built from others, a _Built subclass (an exterior power
     wedge._Wedge, a tensor product _Tensor), holds only its recipe and
     makes its entries on first read of prefix or period: by stage_matrix,
-    transition, period_product, the p-heights and membership walks, or an
-    equality that its recipe does not settle.  It overrides the members
+    transition, period_product, the p-heights and membership walks, or
+    ratios that its recipe does not settle.  It overrides the members
     that read entries here (connecting_dets, _determinant_primes, _p_rank
-    and _same) to compute them from its recipe, so its hashing, p-ranks,
+    and _ratios) to compute them from its recipe, so its hashing, p-ranks,
     is_free and validate_tower read no entries.
     """
 
@@ -168,12 +168,18 @@ class Tower:
         if (self.rank != other.rank or self.stage_counts != other.stage_counts
                 or self.connecting_dets != other.connecting_dets):
             return False
-        return self.rank == 1 or self._same(other)
+        return all(r == (1, 1) for r in self._ratios(other))
 
-    def _same(self, other: "Tower") -> bool:
-        """self == other, for towers of equal rank > 1, stage counts and
-        determinants: entry by entry."""
-        return self.prefix == other.prefix and self.period == other.period
+    def _ratios(self, other: "Tower") -> list:
+        """Per connecting matrix X of self and Y of other (towers of equal
+        rank and stage counts), _ratio of Y to X, or None where Y is no
+        multiple of X: off the determinants at rank 1, else the entries."""
+        if self.rank == 1:
+            return [_ratio(x, y) for x, y in zip(self.connecting_dets,
+                                                 other.connecting_dets)]
+        return [_matrix_ratio(x, y)
+                for x, y in zip(self.prefix + self.period,
+                                other.prefix + other.period)]
 
     @functools.cached_property
     def stage_counts(self) -> tuple[int, int]:
@@ -216,6 +222,24 @@ class Tower:
     @functools.cached_property
     def _p_ranks(self) -> dict[int, int]:
         return {}
+
+
+def _ratio(x: int, y: int) -> tuple[int, int]:
+    """(n, d) in lowest terms with d > 0 and d y == n x, for x != 0."""
+    g = math.gcd(x, y) * (-1 if x < 0 else 1)
+    return y // g, x // g
+
+
+def _matrix_ratio(x: IntMatrix, y: IntMatrix):
+    """_ratio of y to x, or None: the first nonzero entry of x fixes the
+    one candidate, checked on every entry (x == 0 only matches 0).  Equal
+    matrices, as in most comparisons, take one tuple comparison."""
+    if x == y:
+        return 1, 1
+    pairs = [(a, b) for rx, ry in zip(x.entries, y.entries)
+             for a, b in zip(rx, ry)]
+    n, d = _ratio(*next(((a, b) for a, b in pairs if a), (1, 1)))
+    return (n, d) if all(d * b == n * a for a, b in pairs) else None
 
 
 class _Built(Tower):
@@ -548,15 +572,15 @@ def _stagewise(towers, combine):
     return tuple(maps[:a]), tuple(maps[a:])
 
 
-def _stage_value(t: Tower, s: int, values):
+def _stage_value(t: Tower, s: int, values, identity=1):
     """The entry of values, one per connecting matrix of t (prefix then
     period, like connecting_dets), for t.stage_matrix(s), found from the
-    stage counts; 1, the determinant of the identity, past the prefix of
-    an empty period."""
+    stage counts; past the prefix of an empty period, identity, the value
+    of the identity matrix (its determinant by default)."""
     a, b = t.stage_counts
     if s < a:
         return values[s]
-    return values[a + (s - a) % b] if b else 1
+    return values[a + (s - a) % b] if b else identity
 
 
 def direct_sum_towers(towers) -> Tower:
@@ -617,15 +641,25 @@ class _Tensor(_Built):
         not matter."""
         return math.prod(mod_p_rank(f, p) for f in self.factors)
 
-    def _same(self, other: Tower) -> bool:
-        """True when the factors are equal pair by pair, in order;
-        otherwise the entries decide, since A (x) B = cA (x) B/c: unequal
-        factors can make equal products."""
-        if (isinstance(other, _Tensor)
+    def _ratios(self, other: Tower) -> list:
+        """From the factors, when each factor pair has equal rank and
+        stage counts.  Kronecker factors are fixed up to scalars: for
+        nonzero X_i, Y_i, (x)_i Y_i = c (x)_i X_i iff Y_i = c_i X_i with
+        c = prod c_i.  So a stage's ratio is the product of the factor
+        ratios there (None if one is None), a factor past the prefix of
+        an empty period giving (1, 1).  Any other pair compares entries."""
+        if not (isinstance(other, _Tensor)
                 and len(other.factors) == len(self.factors)
-                and all(f == g for f, g in zip(self.factors, other.factors))):
-            return True
-        return super()._same(other)
+                and all((f.rank, f.stage_counts) == (g.rank, g.stage_counts)
+                        for f, g in zip(self.factors, other.factors))):
+            return super()._ratios(other)
+        ratios = [(f, f._ratios(g))
+                  for f, g in zip(self.factors, other.factors)]
+        stages = [[_stage_value(f, s, r, (1, 1)) for f, r in ratios]
+                  for s in range(sum(self.stage_counts))]
+        return [None if None in rs else _ratio(math.prod(d for _, d in rs),
+                                               math.prod(n for n, _ in rs))
+                for rs in stages]
 
 
 def tensor_towers(towers) -> Tower:

@@ -15,19 +15,20 @@ determinants are all +-1 (towers.is_free) is free and joins the free
 part, so no tensor product of the others is free.  Each exterior power
 of each distinct summand tower is made once, and each distinct tensor
 product once, with its count and its factors sorted by summand.  Their
-entries are built on first read, from one all-orders compound pass per
-connecting matrix of the summand.  k1 and k0 never read them, and
-compare_k1 only to tell apart two tensor products of equal rank, stage
-counts and determinants whose factors are not equal pair by pair.
+entries are built on first read, by compound_matrix of the power's own
+order.  k1 and k0 never read them, and compare_k1 only for two tensor
+products of equal rank, stage counts and determinants whose factors do
+not pair up by rank and stage counts.
 
 Each exterior power but the first is a _Wedge, and each tensor product a
 towers._Tensor: a tower that holds only its recipe and computes from it,
 on its own overrides of the Tower members, what a comparison reads (the
-connecting determinants, p-ranks, determinant primes and equality; see
-towers.Tower), none of it on a compound or Kronecker matrix.  So the
-Hessenberg kernel of mod_p_rank and factorize only ever see a summand
-tower of the input, at its own rank.  wedge_power_tower builds the
-compound matrices and derives nothing: it is the reference.
+connecting determinants, p-ranks, determinant primes and the scalar
+ratios that decide equality; see towers.Tower), none of it on a compound
+or Kronecker matrix.  So the Hessenberg kernel of mod_p_rank and
+factorize only ever see a summand tower of the input, at its own rank.
+wedge_power_tower builds the compound matrices and derives nothing: it
+is the reference.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import sys
 from collections import Counter
 
 from .matrices import (IntMatrix, binomial, compound_determinant,
-                       compound_matrices, compound_matrix)
+                       compound_matrix)
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
                      FreePart, KGroupDesc, TowerForm, direct_sum_of, flatten)
 from .towers import (Tower, TypeClass, _Built, is_divisible, is_free,
@@ -52,16 +53,18 @@ class _Wedge(_Built):
     """Lambda^k of the tower base, the tower of its k-th compound
     matrices, for k != 1.  At rank 1 (k = 0 or k = base.rank) its 1 x 1
     entries are its determinants; otherwise they come on first read from
-    compounds(), the all-orders compound pass over the connecting
-    matrices of base (prefix then period) that its powers share."""
+    compound_matrix of each connecting matrix of base (prefix then
+    period)."""
 
-    def __init__(self, base: Tower, k: int, compounds=None):
+    def __init__(self, base: Tower, k: int):
         super().__init__(binomial(base.rank, k), base.stage_counts,
-                         base=base, k=k, compounds=compounds)
+                         base=base, k=k)
 
     def _build(self):
         mats = ([IntMatrix(((d,),)) for d in self.connecting_dets]
-                if self.rank == 1 else [c[self.k] for c in self.compounds()])
+                if self.rank == 1 else
+                [compound_matrix(m, self.k)
+                 for m in self.base.prefix + self.base.period])
         a = self.stage_counts[0]
         return mats[:a], mats[a:]
 
@@ -83,19 +86,17 @@ class _Wedge(_Built):
         C(rank Q^N, k)."""
         return binomial(mod_p_rank(self.base, p), self.k)
 
-    def _same(self, other: Tower) -> bool:
-        """For rank > 1, 1 <= k <= n - 1, and the kernel of Lambda^k on
-        GL_n is {c I : c^k = 1}.  So Lambda^k A == Lambda^k B iff B = A,
-        or B = -A with k even: two k-th exterior powers of rank-n towers
-        are equal iff each stage pair of their bases is.  Any other pair
-        compares entries."""
-        if (isinstance(other, _Wedge)
+    def _ratios(self, other: Tower) -> list:
+        """The bases' ratios to the k-th power, for two k-th powers of
+        rank-n bases of rank C(n, k) > 1, so 1 <= k <= n - 1:
+        Lambda^k(cA) = c^k Lambda^k A, and Lambda^k M is a scalar only
+        when M is (its kernel on SL_n is normal and proper, so central, as
+        PSL_n is simple).  Any other pair compares entries."""
+        if (self.rank > 1 and isinstance(other, _Wedge)
                 and (other.k, other.base.rank) == (self.k, self.base.rank)):
-            mine, theirs = self.base, other.base
-            return all(x == y or (self.k % 2 == 0 and x == -y)
-                       for x, y in zip(mine.prefix + mine.period,
-                                       theirs.prefix + theirs.period))
-        return super()._same(other)
+            return [r and (r[0] ** self.k, r[1] ** self.k)
+                    for r in self.base._ratios(other.base)]
+        return super()._ratios(other)
 
 
 def wedge_power_tower(t: Tower, k: int) -> Tower:
@@ -111,12 +112,8 @@ def wedge_power_tower(t: Tower, k: int) -> Tower:
 
 def _wedge_towers(t: Tower) -> list[Tower]:
     """Towers equal to wedge_power_tower(t, k) for every k = 0..rank: t
-    itself for k = 1 and a _Wedge for every other k, all of them sharing
-    one all-orders compound pass per connecting matrix of t."""
-    compounds = functools.cache(
-        lambda: [compound_matrices(m) for m in t.prefix + t.period])
-    return [t if k == 1 else _Wedge(t, k, compounds)
-            for k in range(t.rank + 1)]
+    itself for k = 1 and a _Wedge for every other k."""
+    return [t if k == 1 else _Wedge(t, k) for k in range(t.rank + 1)]
 
 
 def _top_wedge(t: Tower) -> Tower:

@@ -165,6 +165,13 @@ class TestExitCodes:
         path = files("r1.grp", R1)
         assert main(["height", path, "1"]) == 2
 
+    def test_oversized_rank_height(self, files, capsys):
+        # the default element of a rank past sys.maxsize cannot be built
+        path = files("huge.grp", json.dumps(
+            {"free": {"tower": {"rank": 10 ** 30}}}))
+        assert main(["height", path, "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_composite_prime(self, files):
         path = files("half.grp", json.dumps(
             {"free": {"tower": {"rank": 1, "period": [[[2]]]}}}))

@@ -627,7 +627,7 @@ class TestMetamorphic:
 
         cases = [v for t, u, _ in unimodular_towers(217) for v in (t, u)]
         expected = [outputs(v) for v in cases]
-        monkeypatch.setattr(wedge, "compound_matrices", refused)
+        monkeypatch.setattr(wedge, "compound_matrix", refused)
         monkeypatch.setattr(IntMatrix, "kron", refused)
         for v, out in zip(cases, expected):
             assert outputs(Tower(v.rank, v.prefix, v.period)) == out, v

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from abelk import (IntMatrix, RatMatrix, SingularMatrixError,
                    compound_matrix, rational_inverse, smith_normal_form)
-from abelk.matrices import (_gauss_jordan, binomial, compound_determinant,
-                            compound_matrices)
+from abelk.matrices import _gauss_jordan, binomial, compound_determinant
 
 from conftest import rand_nonsingular, rat_matmul, to_rational
 
@@ -233,47 +232,16 @@ def rand_matrix(rng, rows, cols, entries=tuple(range(-9, 10))):
 
 
 class TestCompoundMatrices:
-    """The all-orders Laplace pass against the single-order kernel."""
-
-    def check(self, a: IntMatrix):
-        layers = compound_matrices(a)
-        assert len(layers) == min(a.rows, a.cols) + 1
-        for k, c in enumerate(layers):
-            assert c == compound_matrix(a, k), (a, k)
-
-    def test_random_square_and_rectangular(self):
-        rng = random.Random(19)
-        for _ in range(60):
-            self.check(rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
-
-    def test_mostly_zero(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            self.check(rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
-                                   (0,) * 6 + (1, -1, 2, -5)))
-
-    def test_zero_rows_and_columns(self):
-        rng = random.Random(29)
-        for _ in range(40):
-            rows, cols = rng.randint(2, 6), rng.randint(2, 6)
-            a = [list(row) for row in rand_matrix(rng, rows, cols).entries]
-            for i in rng.sample(range(rows), rng.randint(1, rows - 1)):
-                a[i] = [0] * cols
-            if rng.random() < 0.5:
-                for j in rng.sample(range(cols), rng.randint(1, cols - 1)):
-                    for row in a:
-                        row[j] = 0
-            self.check(IntMatrix.from_rows(a))
-        self.check(IntMatrix.zeros(3, 4))
+    """compound_matrix at every order of one matrix."""
 
     def test_wide_entries_against_sympy(self):
         rng = random.Random(31)
         for _ in range(2):
             a = IntMatrix.from_rows([[rng.randint(-2 ** 300, 2 ** 300)
                                       for _ in range(6)] for _ in range(6)])
-            for k, c in enumerate(compound_matrices(a)):
-                if k:
-                    assert c == IntMatrix.from_rows(sympy_minor_dets(a, k)), k
+            for k in range(1, 7):
+                assert (compound_matrix(a, k)
+                        == IntMatrix.from_rows(sympy_minor_dets(a, k))), k
 
     def test_sylvester_franke(self):
         # det of the k-th compound of an n x n matrix is det^C(n-1, k-1),
@@ -286,9 +254,9 @@ class TestCompoundMatrices:
                     a[-1] = [2 * x for x in a[0]] if n > 1 else [0]
                 a = IntMatrix.from_rows(a)
                 assert a.det() == 0 or not singular
-                for k, c in enumerate(compound_matrices(a)):
-                    assert compound_determinant(a.det(), n, k) == c.det(), \
-                        (a, k)
+                for k in range(n + 1):
+                    assert (compound_determinant(a.det(), n, k)
+                            == compound_matrix(a, k).det()), (a, k)
 
     def test_sylvester_franke_range(self):
         with pytest.raises(ValueError):

@@ -106,7 +106,6 @@ def refuse_compounds(monkeypatch):
     def refused(*args):
         raise AssertionError("compound matrix built")
 
-    monkeypatch.setattr(wedge, "compound_matrices", refused)
     monkeypatch.setattr(wedge, "compound_matrix", refused)
 
 
@@ -130,40 +129,56 @@ class TestWorkDone:
         assert compare_k1(base, disjoint).verdict == "not_isomorphic"
 
     def test_one_pass_per_distinct_tower(self, monkeypatch):
-        # three copies of one tower: the entries of all its exterior powers
-        # come from one all-orders pass per connecting matrix
+        # three copies of one tower: k1 and k0 build no compound, and
+        # reading the periods builds compound_matrix(m, k) once per power
+        # Lambda^k (k not 0, 1 or the rank) and connecting matrix m
         rng = random.Random(103)
         gamma = Tower(3, (rand_nonsingular(rng, 3, -3, 3),),
                       (rand_nonsingular(rng, 3, -3, 3),
                        rand_nonsingular(rng, 3, -3, 3)))
         g = AbGroupDesc.torsion_free(direct_sum_of([TowerForm(gamma)] * 3))
         seen = []
-        kernel = wedge.compound_matrices
+        kernel = wedge.compound_matrix
 
-        def counted(m):
-            seen.append(m)
-            return kernel(m)
+        def counted(m, k):
+            seen.append((m, k))
+            return kernel(m, k)
 
-        monkeypatch.setattr(wedge, "compound_matrices", counted)
+        monkeypatch.setattr(wedge, "compound_matrix", counted)
         for kgroup in (k1, k0):
             seen.clear()
-            for t in flatten(kgroup(g)).towers:
+            result = flatten(kgroup(g))
+            assert seen == []
+            for t in result.towers:
                 assert len(t.period) == t.stage_counts[1]
-            assert seen == list(gamma.prefix + gamma.period)
+            assert Counter(seen) == Counter(
+                (m, k) for k in range(2, gamma.rank)
+                for m in gamma.prefix + gamma.period)
 
     def test_equal_sums_compare_without_compounds(self, monkeypatch):
         # equal tensor products are told equal from their factors
         g = sum_of_ranks_3_3_2(73)
-        passes = []
-        kernel = wedge.compound_matrices
-
-        def counted(m):
-            passes.append(m)
-            return kernel(m)
-
-        monkeypatch.setattr(wedge, "compound_matrices", counted)
+        refuse_compounds(monkeypatch)
         assert compare_k1(g, g).verdict == "isomorphic"
-        assert passes == []
+
+    def test_conjugate_rank_14_sum_builds_no_compound(self, monkeypatch):
+        # a rank-14 tower, one period matrix of det 1021 * 1031, (+) Gamma1,
+        # against its conjugate by I + E_12: Lambda^j of the towers are
+        # told apart from their bases, with no compound entry built
+        n, d = 14, [1021, 1031] + [1] * 12
+        m = IntMatrix.from_rows([[d[i] if i == j else int(j == i + 1)
+                                  for j in range(n)] for i in range(n)])
+        p = IntMatrix.from_rows([[int(i == j or (i, j) == (0, 1))
+                                  for j in range(n)] for i in range(n)])
+        p_inv = IntMatrix.from_rows([[int(i == j) - int((i, j) == (0, 1))
+                                      for j in range(n)] for i in range(n)])
+        gamma1 = TowerForm(Tower(2, (), (IntMatrix.from_rows([[2, 15],
+                                                             [1, 2]]),)))
+        g, h = (AbGroupDesc.torsion_free(direct_sum_of(
+            [TowerForm(Tower(n, (), (x,))), gamma1]))
+            for x in (m, p @ m @ p_inv))
+        refuse_compounds(monkeypatch)
+        assert compare_k1(g, h).verdict == "unknown"
 
     def test_each_tensor_product_once(self, monkeypatch):
         # Z^2 (+) rank-3 tower (+) rank-2 tower: degrees (1-3, 1-2) give 6
@@ -369,6 +384,147 @@ class TestLazyEquality:
                     assert hash(v) == hash(w)
                 if u is minus:
                     assert same == (k % 2 == 1)
+
+
+def scaled(c: int, m: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(tuple(c * x for x in row) for row in m.entries))
+
+
+def power(t: Tower, k: int) -> Tower:
+    """Lambda^k t as _k_group makes it: t itself for k = 1."""
+    return t if k == 1 else wedge._Wedge(t, k)
+
+
+def eager(t: Tower) -> Tower:
+    """A plain tower with the entries of t: compound matrices of the base
+    for an exterior power, and Kronecker products stage by stage of the
+    eager factors for a tensor product."""
+    if isinstance(t, towers._Tensor):
+        prefix, period = towers._stagewise([eager(f) for f in t.factors],
+                                           IntMatrix.kron)
+        return Tower(t.rank, prefix, period)
+    if isinstance(t, wedge._Wedge):
+        return wedge_power_tower(t.base, t.k)
+    return t
+
+
+class TestTensorRatios:
+    """Equality of tensor products from the scalar ratios of their
+    factors, against the eager Kronecker entries."""
+
+    @staticmethod
+    def random_pairs(seed: int):
+        """Tensor products of two or three factors of equal stage counts:
+        plain towers and exterior powers of towers with entries in
+        {-1, 0, 1}, up to scalars.  Each right factor is the power of the
+        same order of a base whose stages are the left base's times a
+        sign, or random ones.  At one stage two factors carry powers of 2
+        on opposite sides that cancel in the product (Lambda^k(2^e A) =
+        2^(ek) Lambda^k A).  One right factor in ten is replaced by its
+        entries as a plain tower."""
+        rng = random.Random(seed)
+        for _ in range(400):
+            a = rng.choice((0, 1))
+            stages = a + rng.choice((0, 1, 1, 2) if a else (1, 2))
+            specs = []
+            for _ in range(rng.choice((2, 2, 3))):
+                n = rng.choice((1, 2, 3, 3, 4))
+                specs.append((n, rng.choice((1, 1, *range(n + 1)))))
+            # scales[i][s]: 2-exponents of factor i at stage s, left, right
+            scales = [[(0, 0)] * stages for _ in specs]
+            i, j = rng.sample(range(len(specs)), 2)
+            s = rng.randrange(stages)
+            scales[i][s] = (specs[j][1], 0)
+            scales[j][s] = (0, specs[i][1])
+            left, right = [], []
+            for (n, k), scale in zip(specs, scales):
+                sides = ([], [])
+                for e, f in scale:
+                    m = rand_nonsingular(rng, n, -1, 1)
+                    sides[0].append(scaled(2 ** e, m))
+                    sides[1].append(scaled(rng.choice((1, -1)) * 2 ** f, m)
+                                    if rng.random() < 0.9
+                                    else rand_nonsingular(rng, n, -1, 1))
+                x, y = (power(Tower(n, tuple(ms[:a]), tuple(ms[a:])), k)
+                        for ms in sides)
+                left.append(x)
+                right.append(eager(y) if rng.random() < 0.1 else y)
+            yield left, right
+
+    @staticmethod
+    def named_pairs():
+        """(2A) (x) B against A (x) (2B), (-A) (x) (-B) against A (x) B,
+        Lambda^2(2A) (x) B against Lambda^2 A (x) (4B), their unequal
+        variants, and three factors."""
+        rng = random.Random(157)
+
+        def tower(*mats):
+            return Tower(mats[0].rows, mats[:1], mats[1:])
+
+        a = [rand_nonsingular(rng, 3, -1, 1) for _ in range(2)]
+        b = [rand_nonsingular(rng, 2, -1, 1) for _ in range(2)]
+        c = [rand_nonsingular(rng, 4, -1, 1) for _ in range(2)]
+
+        def t(mats, x=1):
+            return tower(*(scaled(x, m) for m in mats))
+
+        yield [t(a, 2), t(b)], [t(a), t(b, 2)], True
+        yield [t(a, -1), t(b, -1)], [t(a), t(b)], True
+        # det(-A) enters squared (B has rank 2): equal determinants, and
+        # the products are not equal
+        yield [t(a, -1), t(b)], [t(a), t(b)], False
+        yield [power(t(c, 2), 2), t(b)], [power(t(c), 2), t(b, 4)], True
+        yield [power(t(c, 2), 2), t(b)], [power(t(c), 2), t(b, -4)], False
+        yield ([t(a, 2), power(t(c), 3), t(b, -1)],
+               [t(a), power(t(c, -1), 3), t(b, 2)], True)
+        yield ([t(a, 2), power(t(c), 3), t(b, -1)],
+               [t(a), power(t(c), 3), t(b, 2)], False)
+
+    @staticmethod
+    def check(left, right) -> bool:
+        v, w = towers.tensor_towers(left), towers.tensor_towers(right)
+        ev, ew = eager(v), eager(w)
+        same = ev.prefix + ev.period == ew.prefix + ew.period
+        assert hash(v) == hash(ev) and hash(w) == hash(ew)
+        assert (v == w) == (w == v) == same, (left, right)
+        if same:
+            assert hash(v) == hash(w)
+        assert "_entries" not in v.__dict__ | w.__dict__
+        return hash(v) == hash(w)
+
+    def test_random_pairs_agree_with_entries(self):
+        told = Counter()
+        for left, right in self.random_pairs(159):
+            if self.check(left, right):
+                told[left == right, towers.tensor_towers(left)
+                     == towers.tensor_towers(right)] += 1
+        # equal products from unequal factors, and unequal products of
+        # equal hash, are both reached
+        assert told[False, True] >= 50 and told[False, False] >= 50, told
+
+    def test_named_pairs(self):
+        for left, right, equal in self.named_pairs():
+            assert self.check(left, right)
+            assert (towers.tensor_towers(left)
+                    == towers.tensor_towers(right)) == equal
+
+    def test_misaligned_factors_compare_entries(self):
+        # ranks (3, 2) against (2, 3): A (x) B and B (x) A are conjugate
+        # by a permutation, equal only for scalar stages
+        rng = random.Random(161)
+        a = Tower(3, (), (rand_nonsingular(rng, 3, -1, 1),))
+        b = Tower(2, (rand_nonsingular(rng, 2, -1, 1),),
+                  (rand_nonsingular(rng, 2, -1, 1),))
+        ident = IntMatrix.identity
+        cases = [(a, b, False),
+                 (Tower(3, (), (scaled(2, ident(3)),)),
+                  Tower(2, (), (scaled(-1, ident(2)),)), True)]
+        for x, y, equal in cases:
+            v, w = towers.tensor_towers([x, y]), towers.tensor_towers([y, x])
+            ev, ew = eager(v), eager(w)
+            assert hash(v) == hash(w)
+            assert (v == w) == (w == v) == equal
+            assert equal == (ev.prefix + ev.period == ew.prefix + ew.period)
 
 
 class TestK1:
