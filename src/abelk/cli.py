@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for any computed verdict (including not-isomorphic and
-unknown), 1 when gallery verification reports a FAIL, 2 on input errors or
-bad usage.
+unknown), 1 when gallery verification reports a FAIL, 2 on input errors,
+bad usage, or an input too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -210,6 +210,11 @@ def main(argv=None) -> int:
     except (InputError, ParseError, ValidationError, ValueError,
             OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # raised with an empty message
+        print("error: out of memory: the input is too large to compute "
+              "with", file=sys.stderr)
         return 2
     if args.format == "json":
         print(report.to_json())

@@ -15,12 +15,13 @@ Divisibility, membership and p-heights are decided exactly:
   residue that is not 0 by then never becomes 0.  Walking the residues
   that far, checking for 0 at every stage, gives the least stage or
   proves there is none;
-* the same bound gives the stable power Q^N mod m (N >= r * Omega(m), by
-  repeated squaring) whose kernel and image are those of every later
-  power; the wedge divisibility search reads it off.  A p-rank needs no
-  power: over F_p the stable image has dimension r minus the multiplicity
-  of 0 as an eigenvalue of Q, read off the characteristic polynomial of
-  Q mod p after a Hessenberg reduction.  Exterior powers and tensor
+* by that same stage the kernel mod m of the map from stage 0 stops
+  growing, so the wedge divisibility search reads it off the two unit
+  vectors pushed that far.  No product of connecting matrices is formed
+  but one: a p-rank multiplies the period matrices mod p, and over F_p
+  the stable image has dimension r minus the multiplicity of 0 as an
+  eigenvalue of that product Q, read off the characteristic polynomial
+  of Q mod p after a Hessenberg reduction.  Exterior powers and tensor
   products (wedge._Wedge, _Tensor) compute their p-ranks and determinant
   primes from the towers they are built from instead;
 * infinite p-height is detected by a minimal-polynomial criterion: the
@@ -30,8 +31,9 @@ Divisibility, membership and p-heights are decided exactly:
   congruent to a power of x mod p.  That polynomial divides the monic
   integer characteristic polynomial, so by Gauss's lemma its
   coefficients are integers, and the fraction-free Gauss-Jordan kernel
-  behind integer_inverse reads them off the Krylov vectors.  The walk
-  bounds no finite height, so it cannot replace this test.
+  behind integer_inverse reads them off the Krylov vectors e, Qe, ...,
+  Q^r e, which are the element pushed by whole periods.  The walk bounds
+  no finite height, so it cannot replace this test.
 
 Everything here runs in integers: rational coordinates enter membership
 as numerators over one common denominator.
@@ -116,11 +118,11 @@ class Tower:
     A tower built from others, a _Built subclass (an exterior power
     wedge._Wedge, a tensor product _Tensor), holds only its recipe and
     makes its entries on first read of prefix or period: by stage_matrix,
-    transition, period_product, the p-heights and membership walks, or
-    ratios that its recipe does not settle.  It overrides the members
-    that read entries here (connecting_dets, _determinant_primes, _p_rank
-    and _ratios) to compute them from its recipe, so its hashing, p-ranks,
-    is_free and validate_tower read no entries.
+    the p-heights and membership walks, or ratios that its recipe does
+    not settle.  It overrides the members that read entries here
+    (connecting_dets, _determinant_primes, _p_rank and _ratios) to
+    compute them from its recipe, so its hashing, p-ranks, is_free and
+    validate_tower read no entries.
     """
 
     rank: int
@@ -135,19 +137,6 @@ class Tower:
         if not self.period:
             return IntMatrix.identity(self.rank)
         return self.period[(s - a) % len(self.period)]
-
-    def transition(self, s0: int, s1: int) -> IntMatrix:
-        """Product of connecting maps carrying stage s0 coords to stage s1."""
-        if s1 < s0:
-            raise ValueError("cannot transition backwards")
-        m = IntMatrix.identity(self.rank)
-        for s in range(s0, s1):
-            m = self.stage_matrix(s) @ m
-        return m
-
-    def period_product(self) -> IntMatrix:
-        """Composite of one full period (identity when the period is empty)."""
-        return self._period_product
 
     # Per-object caches: cached_property stores into the instance dict,
     # which a frozen dataclass leaves writable and keeps out of ==/hash.
@@ -186,13 +175,6 @@ class Tower:
         """(prefix length, period length); set, not counted, on a tower
         built from others."""
         return len(self.prefix), len(self.period)
-
-    @functools.cached_property
-    def _period_product(self) -> IntMatrix:
-        m = IntMatrix.identity(self.rank)
-        for q in self.period:
-            m = q @ m
-        return m
 
     @functools.cached_property
     def connecting_dets(self) -> tuple[int, ...]:
@@ -317,19 +299,24 @@ def elements_equal(t: Tower, e1: GroupElement, e2: GroupElement) -> bool:
     return push_to_stage(t, e1, s).coords == push_to_stage(t, e2, s).coords
 
 
+def _fitting_stage(t: Tower, stage: int, m: int) -> int:
+    """The Fitting bound of the module docstring: a vector at the given
+    stage that ever reaches 0 mod m has done so by this stage, so mod m
+    the kernel of the map from that stage stops growing here."""
+    a, b = t.stage_counts
+    return max(stage, a) + t.rank * m.bit_length() * b
+
+
 def _first_stage_reaching_zero(t: Tower, stage: int, vecs,
                                m: int) -> int | None:
-    """Least s >= stage with (transition to s)(v) == 0 mod m for every v
-    in vecs, or None.
+    """Least s >= stage such that every v in vecs, pushed from stage to
+    s, is 0 mod m, or None.
 
-    Exact: by the Fitting bound in the module docstring, a residue that
-    ever reaches 0 does so by stage
-    max(stage, prefix length) + rank * m.bit_length() * period length,
-    and stays 0 from then on, so one walk drops each vector once it is 0
-    and fails if any is left at that stage.
+    Exact: a residue that ever reaches 0 does so by _fitting_stage and
+    stays 0 from then on, so one walk drops each vector once it is 0 and
+    fails if any is left at that stage.
     """
-    last = (max(stage, len(t.prefix))
-            + t.rank * m.bit_length() * len(t.period))
+    last = _fitting_stage(t, stage, m)
     live = [cur for cur in (tuple(x % m for x in v) for v in vecs)
             if any(cur)]
     s = stage
@@ -352,8 +339,8 @@ def membership(t: Tower, v) -> GroupElement | None:
 
     Each coordinate is an exact rational with numerator and denominator
     attributes, such as an int; any other type raises TypeError.  v
-    belongs to the limit group iff some stage's transition matrix clears
-    all denominators.  Returns a representative at the least such stage.
+    belongs to the limit group iff pushing it to some stage clears all
+    denominators.  Returns a representative at the least such stage.
     """
     v = tuple(v)
     if len(v) != t.rank:
@@ -395,17 +382,15 @@ def _min_valuation(vec, p: int):
     return best
 
 
-def _cyclic_min_poly(q: IntMatrix, vec) -> list[int]:
+def _cyclic_min_poly(krylov) -> list[int]:
     """Monic minimal polynomial of q on the cyclic subspace generated by
-    vec, as integer coefficients [c0, c1, ..., 1] (low to high degree).
+    v, as integer coefficients [c0, c1, ..., 1] (low to high degree), from
+    the Krylov vectors v, q v, ..., q^n v of an n x n matrix q.
 
-    One Gauss-Jordan pass over the Krylov columns vec, q vec, ...,
-    q^n vec stops at the first column q^k vec that depends on the ones
-    before it, and holds d times its coefficients in them.
+    One Gauss-Jordan pass over them as columns stops at the first q^k v
+    that depends on the ones before it, and holds d times its
+    coefficients in them.
     """
-    krylov = [tuple(vec)]
-    for _ in range(q.rows):
-        krylov.append(q.apply(krylov[-1]))
     rows, d = _gauss_jordan([list(r) for r in zip(*krylov)], len(krylov))
     k = len(rows)
     return [-row[k] // d for row in rows] + [1]
@@ -417,7 +402,7 @@ def height(t: Tower, e: GroupElement, p: int):
         raise ValueError(f"{p} is not prime")
     if e.is_zero:
         raise ZeroElementError("p-height of the zero element is undefined")
-    a, b = len(t.prefix), len(t.period)
+    a, b = t.stage_counts
     # push past the prefix and align to a period boundary; coordinate
     # valuations are nondecreasing along pushes, so nothing is lost
     s = max(e.stage, a)
@@ -426,8 +411,11 @@ def height(t: Tower, e: GroupElement, p: int):
     e = push_to_stage(t, e, s)
     if not b:
         return _min_valuation(e.coords, p)
-    q = t.period_product()
-    minpoly = _cyclic_min_poly(q, e.coords)
+    # the Krylov vectors of the period product: pushes by whole periods
+    krylov = [e]
+    for _ in range(t.rank):
+        krylov.append(push_to_stage(t, krylov[-1], krylov[-1].stage + b))
+    minpoly = _cyclic_min_poly([x.coords for x in krylov])
     # every non-leading coefficient divisible by p <=> all roots have
     # positive valuation <=> the valuation grows without bound
     if all(c % p == 0 for c in minpoly[:-1]):
@@ -673,26 +661,6 @@ def tensor_towers(towers) -> Tower:
 
 def _reduce(m: IntMatrix, n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(x % n for x in row) for row in m.entries))
-
-
-def stable_period_power(t: Tower, mod: int) -> IntMatrix:
-    """Q^N mod `mod` for the period product Q and some
-    N >= rank * mod.bit_length().
-
-    mod.bit_length() bounds the length of Z/mod as a module over itself,
-    the number of prime factors of mod with multiplicity.  (Z/mod)^rank
-    then has length at most rank * mod.bit_length(), so by Fitting's lemma
-    the kernels and images of the powers of Q stop changing by then: Q^N
-    has the kernel and the image of every later power.  N is a power of
-    two, reached by ceil(log2(rank * mod.bit_length())) squarings of the
-    reduced period product.
-    The wedge divisibility search needs it for composite mod, where Z/mod
-    is not a field; p-ranks take the shorter route of mod_p_rank.
-    """
-    q = _reduce(t.period_product(), mod)
-    for _ in range((t.rank * mod.bit_length() - 1).bit_length()):
-        q = _reduce(q @ q, mod)
-    return q
 
 
 def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:

@@ -43,10 +43,10 @@ from .matrices import (IntMatrix, binomial, compound_determinant,
                        compound_matrix)
 from .groups import (AbGroupDesc, CompletelyDecomposable, FreeOfRank,
                      FreePart, KGroupDesc, TowerForm, direct_sum_of, flatten)
-from .towers import (Tower, TypeClass, _Built, is_divisible, is_free,
-                     mod_p_rank, rank1_tower_from_supernatural,
-                     stable_period_power, tensor_towers, tower_type,
-                     unit_element)
+from .towers import (GroupElement, Tower, TypeClass, _Built, _fitting_stage,
+                     is_divisible, is_free, mod_p_rank, push_to_stage,
+                     rank1_tower_from_supernatural, tensor_towers,
+                     tower_type, unit_element)
 
 
 class _Wedge(_Built):
@@ -261,11 +261,11 @@ def wedge_divisible_by_search(t: Tower, m: int) -> bool:
 
     Equivalent to scanning all (k1, k2) in [0, m)^2: such an element
     exists iff some stage kernel mod m contains a vector whose first
-    (resp. second) coordinate is a unit mod m.  Those kernels grow with
-    the stage, and past the prefix they are the kernels of Q^j T(0, a)
-    for the period product Q; (Z/m)^2 has length 2 * Omega(m), less than
-    2 * m.bit_length(), so they stop growing at the stable power Q^N for
-    that length, and the one matrix Q^N T(0, a) mod m holds them all.
+    (resp. second) coordinate is a unit mod m.  Those kernels, of the
+    maps from stage 0 on (Z/m)^2, grow with the stage and stop growing by
+    the Fitting bound of the walk (towers._fitting_stage), so the kernel
+    of the map to that stage holds them all.  Its columns are the two
+    unit vectors pushed there.
 
     Such an element certifies m-divisibility of x1 ^ x2 for every m, and
     for prime m the converse holds as well (a nonzero kernel vector over a
@@ -279,7 +279,10 @@ def wedge_divisible_by_search(t: Tower, m: int) -> bool:
         raise ValueError("requires a rank-2 tower")
     if m < 2:
         raise ValueError("divisor must be >= 2")
-    mat = stable_period_power(t, m) @ t.transition(0, len(t.prefix))
+    s = _fitting_stage(t, 0, m)
+    cols = [push_to_stage(t, GroupElement(0, e), s).coords
+            for e in ((1, 0), (0, 1))]
+    mat = IntMatrix(tuple(zip(*cols)))
     return any(_kernel_has_unit_slot(mat, slot, m) for slot in (0, 1))
 
 

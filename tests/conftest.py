@@ -12,8 +12,8 @@ from abelk import (INF, DimensionMismatchError, GroupElement, IntMatrix,
 from abelk.groups import (FreeOfRank, TowerForm, direct_sum_of,
                           flatten, summand_towers)
 from abelk.matrices import binomial
-from abelk.towers import tensor_towers
-from abelk.wedge import _wedge_towers
+from abelk.towers import _reduce, tensor_towers
+from abelk.wedge import _kernel_has_unit_slot, _wedge_towers
 
 
 def to_rational(a: IntMatrix) -> RatMatrix:
@@ -61,6 +61,51 @@ def rat_det(m: RatMatrix) -> Fraction:
                 for c in range(i, n):
                     rows[r][c] -= f * rows[i][c]
     return d
+
+
+def transition(t: Tower, s0: int, s1: int) -> IntMatrix:
+    """Product of the connecting maps carrying stage s0 coordinates to
+    stage s1."""
+    if s1 < s0:
+        raise ValueError("cannot transition backwards")
+    m = IntMatrix.identity(t.rank)
+    for s in range(s0, s1):
+        m = t.stage_matrix(s) @ m
+    return m
+
+
+def period_product(t: Tower) -> IntMatrix:
+    """Composite of one full period (the identity when it is empty)."""
+    a, b = t.stage_counts
+    return transition(t, a, a + b)
+
+
+def krylov(q: IntMatrix, vec) -> list[tuple[int, ...]]:
+    """The Krylov vectors vec, q vec, ..., q^n vec of an n x n matrix q."""
+    out = [tuple(vec)]
+    for _ in range(q.rows):
+        out.append(q.apply(out[-1]))
+    return out
+
+
+def stable_period_power(t: Tower, mod: int) -> IntMatrix:
+    """Q^N mod `mod` for the period product Q and a power of two
+    N >= rank * mod.bit_length(), by repeated squaring.
+
+    mod.bit_length() bounds the length of Z/mod, so (Z/mod)^rank has
+    length at most rank * mod.bit_length(), and by Fitting's lemma Q^N has
+    the kernel and the image of every later power."""
+    q = _reduce(period_product(t), mod)
+    for _ in range((t.rank * mod.bit_length() - 1).bit_length()):
+        q = _reduce(q @ q, mod)
+    return q
+
+
+def stable_power_search(t: Tower, m: int) -> bool:
+    """wedge_divisible_by_search by the stable power: every stage kernel
+    mod m of a rank-2 tower lies in that of Q^N T(0, a) mod m."""
+    mat = stable_period_power(t, m) @ transition(t, 0, len(t.prefix))
+    return any(_kernel_has_unit_slot(mat, slot, m) for slot in (0, 1))
 
 
 def fraction_min_poly(q: IntMatrix, vec) -> list[Fraction]:
@@ -149,8 +194,8 @@ def unroll_depth(t: Tower, periods: int = 4) -> int:
 
 def orbit_first_stage(t: Tower, stage: int, vec, p: int,
                       k: int) -> int | None:
-    """Reference walk: least s >= stage with (transition to s)(vec) == 0
-    mod p^k, or None.
+    """Reference walk: least s >= stage with transition(t, stage, s) vec
+    == 0 mod p^k, or None.
 
     Past the prefix the residue orbit lives on a finite state space keyed
     by (period phase, residue vector), so a repeated state proves
@@ -159,6 +204,9 @@ def orbit_first_stage(t: Tower, stage: int, vec, p: int,
     """
     mod = p ** k
     a, b = len(t.prefix), len(t.period)
+    # p divides no period determinant: past the prefix, residues evolve
+    # invertibly and can never newly reach zero
+    invertible = period_product(t).det() % p != 0
     cur = tuple(x % mod for x in vec)
     s = stage
     seen: set = set()
@@ -168,9 +216,7 @@ def orbit_first_stage(t: Tower, stage: int, vec, p: int,
         if s >= a:
             if b == 0:
                 return None
-            # p divides no period determinant: residues evolve invertibly
-            # and can never newly reach zero
-            if (s - a) % b == 0 and t.period_product().det() % p != 0:
+            if (s - a) % b == 0 and invertible:
                 return None
             state = ((s - a) % b, cur)
             if state in seen:
@@ -222,7 +268,7 @@ def naive_check_witness(w) -> bool:
     for tower, other, mat in ((src, dst, w.map), (dst, src, inv)):
         bound = len(tower.prefix) + 2 * max(1, len(tower.period))
         for s in range(bound + 1):
-            gens = rational_inverse(to_rational(tower.transition(0, s)))
+            gens = rational_inverse(to_rational(transition(tower, 0, s)))
             for j in range(n):
                 image = rat_apply(mat, tuple(row[j] for row in gens.entries))
                 if membership(other, image) is None:

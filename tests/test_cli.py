@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: commands, formats, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -171,6 +173,27 @@ class TestExitCodes:
             {"free": {"tower": {"rank": 10 ** 30}}}))
         assert main(["height", path, "2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_of_memory(self, files):
+        # the default element of a rank-10^9 tower needs gigabytes: in a
+        # child that caps its own address space at 1 GB that ends in a
+        # MemoryError, whose message is empty
+        pytest.importorskip("resource")
+        path = files("huge.grp", json.dumps(
+            {"free": {"tower": {"rank": 10 ** 9}}}))
+        child = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({10 ** 9}, {10 ** 9}))\n"
+            "from abelk.cli import main\n"
+            f"sys.exit(main(['height', {path!r}, '2']))\n")
+        src = str(Path(abelk.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: out of memory"), done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_composite_prime(self, files):
         path = files("half.grp", json.dumps(

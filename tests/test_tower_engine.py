@@ -1,6 +1,7 @@
 """The Fitting-bounded tower engine against the orbit-walk reference,
 p-ranks against the stable period power and sympy, and primality at the
-boundary."""
+boundary.  The references multiply connecting matrices; the engine does
+not (but for the p-rank's product mod p)."""
 
 import math
 import random
@@ -9,16 +10,19 @@ from fractions import Fraction
 import pytest
 
 from abelk import (FreeOfRank, GroupElement, INF, IntMatrix, Tower,
-                   direct_sum_towers, height, is_divisible, membership,
-                   parse_group_file, smith_normal_form, tensor_towers)
+                   characteristic, direct_sum_towers, height, is_divisible,
+                   membership, parse_group_file, smith_normal_form,
+                   tensor_towers, wedge_divisible_by_search)
 from abelk import towers
 from abelk.towers import is_prime, mod_p_rank
 from abelk import wedge
 from abelk.wedge import wedge_power_tower
 
-from conftest import (fraction_min_poly, orbit_first_stage,
-                      orbit_first_stage_mod, rand_nonsingular, rand_tower,
-                      rat_apply, to_rational, unimodular_pair)
+from conftest import (fraction_min_poly, krylov, orbit_first_stage,
+                      orbit_first_stage_mod, period_product,
+                      rand_nonsingular, rand_tower, rat_apply,
+                      stable_period_power, stable_power_search, to_rational,
+                      transition, unimodular_pair)
 
 MODULI = (2, 3, 4, 6, 8, 9, 12, 25, 27, 36)
 
@@ -58,7 +62,7 @@ class TestAgainstOrbitWalk:
                 if s is None:
                     assert got is None, (t, v)
                     continue
-                coords = rat_apply(to_rational(t.transition(0, s)), v)
+                coords = rat_apply(to_rational(transition(t, 0, s)), v)
                 assert got == GroupElement(s, tuple(int(c) for c in coords)), \
                     (t, v)
 
@@ -109,7 +113,7 @@ def rank_mod_p_by_sympy(t: Tower, p: int) -> int:
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     q = DomainMatrix([[sympy.ZZ(x) for x in row]
-                      for row in t.period_product().entries],
+                      for row in period_product(t).entries],
                      (t.rank, t.rank), sympy.ZZ).convert_to(sympy.GF(p))
     return (q ** t.rank).rank()
 
@@ -132,7 +136,7 @@ def jordan_towers(seed: int, count: int):
 class TestModPRank:
     def test_matches_rank_of_period_power(self):
         for _, t in random_cases(709, 120):
-            q = t.period_product()
+            q = period_product(t)
             power = IntMatrix.identity(t.rank)
             for _ in range(t.rank):
                 power = q @ power
@@ -155,8 +159,8 @@ class TestModPRank:
             got = mod_p_rank(t, p)
             if expected is not None:
                 assert got == expected, (t, p)
-            assert got == rank_mod_p_by_smith(
-                towers.stable_period_power(t, p), p), (t, p)
+            assert got == rank_mod_p_by_smith(stable_period_power(t, p),
+                                              p), (t, p)
 
     def test_against_sympy(self):
         for t, p, _ in jordan_towers(713, 80):
@@ -321,14 +325,14 @@ def _adjugate(a: IntMatrix) -> IntMatrix:
 class TestIntegerMinPoly:
     def test_matches_fraction_oracle(self):
         for q, vec in min_poly_cases(723, 1500):
-            got = towers._cyclic_min_poly(q, vec)
+            got = towers._cyclic_min_poly(krylov(q, vec))
             assert all(type(c) is int for c in got), (q, vec)
             assert got == fraction_min_poly(q, vec), (q, vec)
 
     def test_annihilates_the_start(self):
         # sum c_i q^i vec == 0, and vec != 0 needs degree >= 1
         for q, vec in min_poly_cases(725, 300):
-            poly = towers._cyclic_min_poly(q, vec)
+            poly = towers._cyclic_min_poly(krylov(q, vec))
             total, power = [0] * q.rows, tuple(vec)
             for c in poly:
                 total = [x + c * y for x, y in zip(total, power)]
@@ -338,9 +342,50 @@ class TestIntegerMinPoly:
 
     def test_eigenvector_has_degree_one(self):
         q = IntMatrix.from_rows([[3, 1, 0], [0, 3, 0], [0, 0, -2]])
-        assert towers._cyclic_min_poly(q, (1, 0, 0)) == [-3, 1]
-        assert towers._cyclic_min_poly(q, (0, 0, 5)) == [2, 1]
-        assert towers._cyclic_min_poly(q, (0, 1, 1)) == [18, -3, -4, 1]
+        assert towers._cyclic_min_poly(krylov(q, (1, 0, 0))) == [-3, 1]
+        assert towers._cyclic_min_poly(krylov(q, (0, 0, 5))) == [2, 1]
+        assert (towers._cyclic_min_poly(krylov(q, (0, 1, 1)))
+                == [18, -3, -4, 1])
+
+
+class TestNoMatrixProduct:
+    def test_answers_with_matmul_refused(self, monkeypatch):
+        # heights, characteristics, membership, divisibility and the
+        # wedge search push vectors; the references below multiply
+        def refused(a, b):
+            raise AssertionError("a matrix product was formed")
+
+        answers = []
+        with monkeypatch.context() as mp:
+            mp.setattr(IntMatrix, "__matmul__", refused)
+            for rng, t in random_cases(731, 80):
+                e = random_element(rng, t)
+                if e.is_zero:
+                    continue
+                w = tuple(rng.randint(-40, 40) for _ in range(t.rank))
+                answers.append((t, e, w, (
+                    height(t, e, 2), characteristic(t, e),
+                    membership(t, tuple(Fraction(x, 6) for x in w)),
+                    is_divisible(t, e, 12),
+                    t.rank == 2 and wedge_divisible_by_search(t, 12))))
+        assert sum(t.rank == 2 for t, *_ in answers) > 10
+        for t, e, w, (h, chi, member, divisible, search) in answers:
+            assert chi.exponent(2) == h, (t, e)
+            if h == INF:
+                assert all(orbit_first_stage(t, e.stage, e.coords, 2, k)
+                           is not None for k in (1, 2, 3)), (t, e)
+            else:
+                assert orbit_first_stage(
+                    t, e.stage, e.coords, 2, h + 1) is None, (t, e)
+            s = orbit_first_stage_mod(t, 0, w, 6)
+            assert member == (None if s is None else GroupElement(s, tuple(
+                int(c) for c in rat_apply(to_rational(transition(t, 0, s)),
+                                          [Fraction(x, 6) for x in w])))), \
+                (t, w)
+            assert divisible == (orbit_first_stage_mod(
+                t, e.stage, e.coords, 12) is not None), (t, e)
+            if t.rank == 2:
+                assert search == stable_power_search(t, 12), t
 
 
 class TestHeightOfMultiples:

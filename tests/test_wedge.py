@@ -20,7 +20,8 @@ from abelk.matrices import compound_matrix
 from abelk.groups import describe, flatten, summand_towers
 
 from conftest import (listed_k_group, naive_top_wedge_characteristic,
-                      rand_nonsingular, rand_tower, unimodular_pair)
+                      period_product, rand_nonsingular, rand_tower,
+                      stable_power_search, unimodular_pair)
 
 
 class TestWedgePowerTower:
@@ -245,7 +246,7 @@ class TestWorkDone:
         bases = [t for d in (g, h) for t in summand_towers(d.free)]
         allowed = Counter(
             (tuple(tuple(x % p for x in row)
-                   for row in t.period_product().entries), p)
+                   for row in period_product(t).entries), p)
             for t in bases for p in {p for _, p in charpolys})
         assert not Counter(charpolys) - allowed
         # only the summand towers' own determinants are factorized (and
@@ -777,6 +778,28 @@ class TestDivisibilityEquivalence:
             for m in (2, 3, 4, 5, 6, 8, 9, 12):
                 assert wedge_divisible_by_search(t, m) \
                     == naive_coprime_search(t, m), (t, m)
+
+    def test_search_matches_the_stable_power(self):
+        # the unit vectors pushed to the Fitting stage span the kernel
+        # mod m of Q^N T(0, a), for the stable power Q^N mod m, at moduli
+        # past the reach of naive_coprime_search
+        rng = random.Random(71)
+        found = Counter()
+        for _ in range(60):
+            t = rand_tower(rng, 2, max_prefix=2, max_period=3)
+            if rng.random() < 0.5:
+                # stage maps of determinant 2^i 3^j 5^k, so that the
+                # composite moduli can divide
+                t = Tower(2, *(tuple(IntMatrix.from_rows(
+                    [[rng.choice((1, 2, 3, 5, 6, 10)), rng.randint(-3, 3)],
+                     [0, rng.choice((1, 2, 3, 5))]]) for _ in range(n))
+                    for n in (rng.randint(0, 2), rng.randint(0, 3))))
+            for m in (4, 8, 12, 16, 36, 2 ** 61 - 1, 10 ** 18):
+                expected = stable_power_search(t, m)
+                assert wedge_divisible_by_search(t, m) == expected, (t, m)
+                found[m, expected] += 1
+        assert all(found[m, True] and found[m, False]
+                   for m in (4, 8, 12, 16, 36, 10 ** 18)), found
 
     def test_search_implies_divisible(self):
         # sound direction, every modulus: a coprime-coefficient element
