@@ -22,11 +22,10 @@ from .groups import (AbGroupDesc, CompletelyDecomposable, Copies, FreeOfRank,
                      NO_TOWER_FORM, OMEGA_COPIES)
 from .matrices import (IntMatrix, RatMatrix, SingularMatrixError,
                        integer_inverse)
-from .towers import (INF, ZERO_CHARACTERISTIC, ZERO_TYPE, Supernatural,
-                     Tower, TypeClass, _first_stage_reaching_zero,
-                     characteristic, direct_sum_towers, mod_p_rank,
-                     unit_element)
-from .wedge import _top_wedge, k1 as _k1
+from .towers import (ZERO_CHARACTERISTIC, ZERO_TYPE, Tower, TypeClass,
+                     _first_stage_reaching_zero, direct_sum_towers,
+                     mod_p_rank)
+from .wedge import k1 as _k1
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not_isomorphic"
@@ -204,26 +203,6 @@ def unitary_invariant(d: AbGroupDesc) -> UnitaryInvariant:
     return UnitaryInvariant(alpha, amplify(d.free, alpha))
 
 
-def _top_wedge_characteristic(s: Summands) -> Supernatural:
-    """Characteristic of the top exterior power of the whole (finite) sum:
-    the tensor of the summands' top wedges, so exponents add, c times for
-    c copies.  Each top wedge is the rank-1 tower of its summand's
-    connecting determinants, built once per distinct summand."""
-    total: dict[int, object] = {}
-
-    def add(sup: Supernatural, c: int):
-        for p, e in sup.items:
-            cur = total.get(p, 0)
-            total[p] = INF if INF in (cur, e) else cur + c * e
-
-    for sup, c in s.types.items():
-        add(sup, c)
-    for t, c in s.towers.items():
-        top = _top_wedge(t)
-        add(characteristic(top, unit_element(top)), c)
-    return Supernatural.of(total)
-
-
 def _relevant_primes(*summands: Summands) -> set[int]:
     primes: set[int] = set()
     for s in summands:
@@ -263,6 +242,17 @@ def _format_counts(counts: dict) -> str:
 
 def compare_free_parts(f1: FreePart, f2: FreePart,
                        witnesses=()) -> Verdict:
+    """Compare two free parts: ranks, then type multisets in the decidable
+    class, then witnesses and identical towers, then the p-ranks.
+
+    The p-ranks at the primes of _relevant_primes are the one separating
+    invariant at a prime.  The type of the top wedge Lambda^r of a sum of
+    rank r is its infinite support (every characteristic here is finitely
+    supported), and p lies in it iff the p-rank is below r: a rank-1 type
+    has p-rank 0 iff p is in its infinite support, and a tower has p-rank
+    below its rank iff p divides a period determinant.  Every such p is
+    relevant, so equal p-ranks give equal top types.
+    """
     s1, s2 = flatten(f1), flatten(f2)
     c1, c2 = _type_counts(s1), _type_counts(s2)
 
@@ -339,12 +329,6 @@ def compare_free_parts(f1: FreePart, f2: FreePart,
             return Verdict(
                 "verdict", NOT_ISOMORPHIC,
                 f"p-rank at p={p}: {p1} vs {p2}")
-    top1, top2 = _top_wedge_characteristic(s1), _top_wedge_characteristic(s2)
-    if TypeClass(top1) != TypeClass(top2):
-        return Verdict(
-            "verdict", NOT_ISOMORPHIC,
-            f"type of the top exterior power: {TypeClass(top1)} vs "
-            f"{TypeClass(top2)}")
     return Verdict(
         "verdict", UNKNOWN,
         f"unmatched tower summands ({pool1.total()} vs {pool2.total()} left) "

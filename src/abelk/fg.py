@@ -57,6 +57,24 @@ def from_relations(relations: IntMatrix) -> FgAbGroup:
                      invariant_factors=tuple(d for d in nonzero if d > 1))
 
 
+def from_cyclic_orders(orders) -> FgAbGroup:
+    """Z/d1 + ... + Z/dk for positive cyclic orders, in invariant-factor
+    form, without a relation matrix.
+
+    (di, dj) <- (gcd, lcm) keeps the product and puts the smaller
+    p-valuation first at every prime p at once, so sweeping every pair
+    i < j is a selection sort of the valuations: the result is a
+    divisibility chain, and dropping its 1s gives the invariant factors.
+    """
+    d = list(orders)
+    if any(x < 1 for x in d):
+        raise ValueError("cyclic orders must be positive")
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return FgAbGroup(0, tuple(x for x in d if x > 1))
+
+
 def fg_isomorphic(g1: FgAbGroup, g2: FgAbGroup) -> bool:
     """Structure-theorem comparison: equal ranks and invariant factors."""
     return (g1.free_rank == g2.free_rank

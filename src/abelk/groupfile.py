@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .compare import Witness
-from .fg import TorsionDesc, from_relations
+from .fg import TorsionDesc, from_cyclic_orders
 from .groups import (AbGroupDesc, CompletelyDecomposable, DirectSum,
                      FreeOfRank, FreePart, OMEGA_COPIES, TowerForm)
 from .matrices import IntMatrix, RatMatrix
@@ -149,14 +149,9 @@ def _parse_torsion(spec, path: str) -> TorsionDesc:
         # the cardinal enters any downstream computation
         return TorsionDesc.countably_infinite()
     if isinstance(spec, list):
-        if not spec:
-            return TorsionDesc.trivial()
         if any(not _is_int(d) or d < 2 for d in spec):
             _fail(path, "cyclic orders must be integers >= 2")
-        rel = IntMatrix.from_rows(
-            [[spec[i] if i == j else 0 for j in range(len(spec))]
-             for i in range(len(spec))])
-        return TorsionDesc(from_relations(rel))
+        return TorsionDesc(from_cyclic_orders(spec))
     _fail(path, "torsion must be \"trivial\", \"countable\" or a list "
                 "of cyclic orders")
 

@@ -407,7 +407,7 @@ def height(t: Tower, e: GroupElement, p: int):
     # valuations are nondecreasing along pushes, so nothing is lost
     s = max(e.stage, a)
     if b:
-        s = a + b * math.ceil((s - a) / b)
+        s = a + b * -(-(s - a) // b)
     e = push_to_stage(t, e, s)
     if not b:
         return _min_valuation(e.coords, p)

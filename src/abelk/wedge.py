@@ -116,12 +116,6 @@ def _wedge_towers(t: Tower) -> list[Tower]:
     return [t if k == 1 else _Wedge(t, k) for k in range(t.rank + 1)]
 
 
-def _top_wedge(t: Tower) -> Tower:
-    """wedge_power_tower(t, t.rank) without a compound: the rank-1 tower
-    of the connecting determinants."""
-    return _Wedge(t, t.rank)
-
-
 def _rank1_algebra(factors: tuple, copies: int) -> Counter:
     """Lambda(R^copies) for R = Z (factors ()) or a rank-1 summand (one
     factor): Z in degree 0, R in 2^(copies-1) odd and 2^(copies-1) - 1
@@ -228,7 +222,7 @@ def wedge_square_type(t: Tower) -> TypeClass:
     characteristic driven by the running product of connecting determinants."""
     if t.rank != 2:
         raise ValueError("wedge_square_type requires a rank-2 tower")
-    return tower_type(_top_wedge(t))
+    return tower_type(_Wedge(t, 2))
 
 
 def _congruence_pair_solvable(c1: int, d1: int, c2: int, d2: int,

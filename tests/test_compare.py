@@ -12,12 +12,11 @@ from abelk import (AbGroupDesc, CompletelyDecomposable,
                    Witness, amplify, check_witness, compare_free_parts,
                    compare_k1, compare_unitary, describe, direct_sum_of,
                    rank1_tower_from_supernatural, unitary_invariant)
-from abelk import compare, k0, k1, wedge
+from abelk import compare, k0, k1, towers, wedge
 from abelk.gallery import default_pair_config
 from abelk.groups import (OMEGA_COPIES, flatten, summand_towers,
                           times_copies)
-from abelk.matrices import compound_matrix
-from abelk.towers import characteristic, mod_p_rank, unit_element
+from abelk.towers import mod_p_rank
 
 from conftest import rand_tower, unimodular_pair
 
@@ -129,12 +128,16 @@ class TestCompareSeparation:
         assert res.verdict == "not_isomorphic"
         assert "p-rank at p=2" in res.evidence
 
-    def test_top_wedge_separates(self):
+    def test_p_rank_separates_by_the_determinant_prime(self):
+        # Gamma1 (period det 11, wedge-square type 11^inf) against a tower
+        # with a period of det 1: the p-rank at 11 separates them, as it
+        # does whenever the top wedges' types differ
         cfg = default_pair_config()
-        t11 = cfg.gamma1  # wedge-square type 11^inf
+        t11 = cfg.gamma1
         t_free_wedge = Tower(2, (), (IntMatrix.from_rows([[2, 1], [1, 1]]),))
         res = compare_free_parts(TowerForm(t11), TowerForm(t_free_wedge))
         assert res.verdict == "not_isomorphic"
+        assert res.evidence == "p-rank at p=11: 1 vs 2"
 
     def test_unknown_without_witness(self):
         cfg = default_pair_config()
@@ -388,21 +391,23 @@ class TestMultiplicityCounts:
                 AbGroupDesc(tors, TowerForm(cfg.gamma2)))
 
     def test_large_torsion_reads_counts(self, monkeypatch):
-        # alpha = 4096: one top wedge per distinct tower and side, not
-        # one per copy
+        # alpha = 4096: one p-rank per distinct tower and prime, not one
+        # per copy
         calls = []
-        top_wedge = compare._top_wedge
+        stable_rank = towers._stable_rank_mod_p
 
-        def counting(t):
-            calls.append(t)
-            return top_wedge(t)
+        def counting(t, p):
+            calls.append((t, p))
+            return stable_rank(t, p)
 
-        monkeypatch.setattr(compare, "_top_wedge", counting)
+        monkeypatch.setattr(towers, "_stable_rank_mod_p", counting)
         g1, g2 = self.fuchs_pair((64, 64))
         res = compare_unitary(g1, g2)
         assert res.verdict == "unknown"
         assert "unmatched tower summands (4096 vs 4096 left)" in res.evidence
-        assert len(calls) == 2
+        # one per Fuchs tower, at its one determinant prime 11
+        assert [p for _, p in calls] == [11, 11]
+        assert {t for t, _ in calls} == {g1.free.tower, g2.free.tower}
 
     def test_huge_witness_copies_give_a_verdict(self):
         # the witness sides are counted, so 10^9 copies cost no memory;
@@ -463,9 +468,8 @@ class TestMultiplicityCounts:
             assert by_counts == by_copies, (f1, f2, n)
 
     def test_counts_agree_with_listed_copies(self):
-        # rank, p-ranks and the top exterior power read off the counts of
-        # the amplified sum, against every copy listed and each top wedge
-        # built from full-order compounds
+        # rank and p-ranks read off the counts of the amplified sum,
+        # against every copy listed
         rng = random.Random(103)
         cfg = default_pair_config()
         for _ in range(30):
@@ -476,17 +480,6 @@ class TestMultiplicityCounts:
             for p in compare._relevant_primes(s):
                 assert compare._p_rank(s, p) == sum(mod_p_rank(t, p)
                                                     for t in listed)
-            total = {}
-            for t in listed:
-                top = Tower(1, tuple(compound_matrix(m, t.rank)
-                                     for m in t.prefix),
-                            tuple(compound_matrix(m, t.rank)
-                                  for m in t.period))
-                for p, e in characteristic(top, unit_element(top)).items:
-                    cur = total.get(p, 0)
-                    total[p] = INF if INF in (cur, e) else cur + e
-            assert (compare._top_wedge_characteristic(s)
-                    == Supernatural.of(total)), (f, n)
 
     def test_witness_needs_both_sides(self):
         # the squares witness Gamma1^2 -> Gamma2^2 finds Gamma2^2 on one

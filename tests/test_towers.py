@@ -220,6 +220,12 @@ class TestHeight:
         with pytest.raises(ZeroElementError):
             height(DOUBLING, GroupElement(0, (0,)), 2)
 
+    def test_stage_past_float_precision(self):
+        # aligning stage 2^60 + 1 to a period boundary in integers: a
+        # float ceiling rounds it down to 2^60, behind the element
+        e = GroupElement(2 ** 60 + 1, (3,))
+        assert height(DOUBLING, e, 3) == 1
+
     def test_invariant_under_push(self):
         rng = random.Random(23)
         for _ in range(25):

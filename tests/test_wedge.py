@@ -254,7 +254,10 @@ class TestWorkDone:
         dets = {abs(d) for t in bases for d in t.connecting_dets}
         assert factored and set(factored) <= dets | {1}
 
-    def test_top_wedge_against_full_order_compounds(self):
+    def test_p_ranks_read_the_top_wedge_type(self):
+        # the type of the top wedge, built from full-order compounds, is
+        # its infinite support: the relevant primes at which the p-rank
+        # falls short of the rank, so equal p-ranks give equal top types
         rng = random.Random(79)
         sums = [flatten(k1(sum_of_ranks_3_3_2(79))),
                 flatten(k0(sum_of_ranks_3_3_2(79, conjugate=True)))]
@@ -264,8 +267,12 @@ class TestWorkDone:
             parts.append(TowerForm(rand_tower(rng, 1, 1, 1)))
             sums.append(flatten(direct_sum_of(parts)))
         for s in sums:
-            assert (compare._top_wedge_characteristic(s)
-                    == naive_top_wedge_characteristic(s))
+            top = naive_top_wedge_characteristic(s).infinite_support()
+            relevant = compare._relevant_primes(s)
+            assert top <= relevant
+            for p in relevant:
+                assert (p in top) == (compare._p_rank(s, p)
+                                      < s.finite_rank()), (s, p)
 
     def test_wedge_tower_determinants_are_derived(self):
         rng = random.Random(83)
@@ -276,8 +283,7 @@ class TestWorkDone:
                 reference = wedge_power_tower(t, k)
                 assert w == reference
                 assert w.connecting_dets == reference.connecting_dets
-            top = wedge._top_wedge(t)
-            assert type(top) is wedge._Wedge
+            top = wedge._Wedge(t, t.rank)
             assert top == wedge_power_tower(t, t.rank)
 
 
