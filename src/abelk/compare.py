@@ -11,7 +11,9 @@ separating invariant, and Unknown otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -23,8 +25,8 @@ from .groups import (AbGroupDesc, CompletelyDecomposable, Copies, FreeOfRank,
 from .matrices import (IntMatrix, RatMatrix, SingularMatrixError,
                        integer_inverse)
 from .towers import (ZERO_CHARACTERISTIC, ZERO_TYPE, Tower, TypeClass,
-                     _first_stage_reaching_zero, direct_sum_towers,
-                     mod_p_rank)
+                     _first_stage_reaching_zero, _stage_value,
+                     direct_sum_towers, mod_p_rank)
 from .wedge import k1 as _k1
 
 ISOMORPHIC = "isomorphic"
@@ -72,6 +74,35 @@ class Witness:
         if type(self.copies) is not int or self.copies < 1:
             raise ValueError("witness copies must be a positive int")
 
+    # cached_property stores into the instance dict, which a frozen
+    # dataclass leaves writable and keeps out of ==/hash, as on Tower
+    @functools.cached_property
+    def _valid(self) -> bool:
+        """check_witness's answer, computed on first call."""
+        # the ranks come from the counts, so an oversized count (of the
+        # witness or a summand) is rejected at once
+        src_rank = self.copies * flatten(self.src).finite_rank()
+        dst_rank = self.copies * flatten(self.dst).finite_rank()
+        n = self.map.rows
+        if self.map.cols != n or src_rank != n or dst_rank != n:
+            raise DimensionMismatchError(
+                f"witness map is {self.map.rows}x{self.map.cols}, towers "
+                f"have ranks {src_rank} and {dst_rank}")
+        den = math.lcm(*(x.denominator for row in self.map.entries
+                         for x in row))
+        a = IntMatrix(tuple(tuple(x.numerator * (den // x.denominator)
+                                  for x in row) for row in self.map.entries))
+        try:
+            b, e = integer_inverse(a)
+        except SingularMatrixError:
+            raise SingularWitnessError("witness map is singular") from None
+        src = direct_sum_towers(summand_towers(self.src) * self.copies)
+        dst = direct_sum_towers(summand_towers(self.dst) * self.copies)
+        # (a / den)^-1 = den * b / e
+        inv = _reduced([tuple(den * x for x in row) for row in b.entries], e)
+        return (_maps_lattices_into(src, dst, a.entries, den)
+                and _maps_lattices_into(dst, src, *inv))
+
 
 def _reduced(rows, d: int) -> tuple[list[tuple[int, ...]], int]:
     """The integer rows over the denominator d, with the common factor of
@@ -85,29 +116,56 @@ def _reduced(rows, d: int) -> tuple[list[tuple[int, ...]], int]:
 def _maps_lattices_into(tower: Tower, other: Tower, rows, d: int) -> bool:
     """Whether the matrix rows / d maps the stage-s lattice of tower into
     the limit group of other for every s up to tower's prefix plus two
-    periods.
+    periods, read from its stage counts.
 
     The stage-s generators are the columns of T(0, s)^-1, so their images
     are the columns of G_s = (rows / d) T(0, s)^-1, carried as integer
-    rows over one denominator: G_s = G_(s-1) Q_(s-1)^-1, with each
-    distinct connecting matrix Q inverted once.  All n images are decided
-    by one residue walk mod the denominator of G_s in other.
+    rows over one denominator: G_s = G_(s-1) Q_(s-1)^-1.  Q is block
+    diagonal over tower.blocks (one block unless tower is a direct sum),
+    so it is inverted block by block: each block's integer_inverse, once
+    per block tower and position in its prefix and period, scaled to the
+    lcm of the block denominators, and a block past the prefix of an
+    empty period is the identity.  No entry of a direct sum is read.  All
+    n images are decided by one residue walk mod the denominator of G_s
+    in other, which goes block by block too.
     """
-    bound = len(tower.prefix) + 2 * max(1, len(tower.period))
+    a, b = tower.stage_counts
     inverses = {}
-    for s in range(bound + 1):
+    for s in range(a + 2 * max(1, b) + 1):
         if s:
-            q = tower.stage_matrix(s - 1)
-            if q not in inverses:
-                b, e = integer_inverse(q)
-                inverses[q] = tuple(zip(*b.entries)), e
-            cols, e = inverses[q]
-            rows, d = _reduced([tuple(sum(x * y for x, y in zip(row, col))
-                                      for col in cols) for row in rows],
-                               d * e)
+            blocks = []
+            for i, f in tower.blocks:
+                # the index of f's map at stage s - 1 among its prefix and
+                # period matrices, None for the identity
+                pos = _stage_value(f, s - 1, range(sum(f.stage_counts)),
+                                   None)
+                if pos is None:
+                    blocks.append((i, f.rank, None, 1))
+                    continue
+                if (f, pos) not in inverses:
+                    inv, e = integer_inverse(f.stage_matrix(s - 1))
+                    inverses[f, pos] = tuple(zip(*inv.entries)), e
+                blocks.append((i, f.rank, *inverses[f, pos]))
+            e = math.lcm(*(e for *_, e in blocks))
+            rows, d = _reduced([_times_blocks(row, blocks, e)
+                                for row in rows], d * e)
         if _first_stage_reaching_zero(other, 0, zip(*rows), d) is None:
             return False
     return True
+
+
+def _times_blocks(row, blocks, e: int) -> tuple[int, ...]:
+    """e times row times the block-diagonal matrix of blocks, each
+    (offset, rank, columns over its denominator, or None for the
+    identity, denominator), e a multiple of every denominator."""
+    out = []
+    for i, r, cols, d in blocks:
+        part, k = row[i:i + r], e // d
+        if cols is None:
+            out.extend(x * k for x in part)
+        else:
+            out.extend(sum(map(operator.mul, part, col)) * k for col in cols)
+    return tuple(out)
 
 
 def check_witness(w: Witness) -> bool:
@@ -118,33 +176,19 @@ def check_witness(w: Witness) -> bool:
     two full periods of the tower it comes from.  This is a finite check,
     not a proof: nothing shows that the images past that horizon stay in
     the limit group, and the identity map from Z[1/2]^2 to (1/8)Z^2, two
-    non-isomorphic groups, passes it.  The check runs in integers: the
-    map and each connecting matrix are inverted once as an integer matrix
-    over a denominator, and one residue walk per stage decides all
-    generators at once.
+    non-isomorphic groups, passes it.
+
+    The check runs in integers.  The map is inverted once as an integer
+    matrix over a denominator.  The towers are direct sums of the copies
+    of the summands (towers._Sum), whose entries are never built: each
+    stage map is inverted block by block, and one residue walk per stage
+    decides all generators at once, block by block, with the part of the
+    modulus prime to the block's determinants settled before any step
+    (_maps_lattices_into).  A witness is checked once: the answer is kept
+    on it, so the gallery's entries, which share one witness, check it
+    once.  A witness that raises is checked again on the next call.
     """
-    # the ranks come from the counts, so an oversized count (of the
-    # witness or a summand) is rejected at once
-    src_rank = w.copies * flatten(w.src).finite_rank()
-    dst_rank = w.copies * flatten(w.dst).finite_rank()
-    n = w.map.rows
-    if w.map.cols != n or src_rank != n or dst_rank != n:
-        raise DimensionMismatchError(
-            f"witness map is {w.map.rows}x{w.map.cols}, towers have ranks "
-            f"{src_rank} and {dst_rank}")
-    den = math.lcm(*(x.denominator for row in w.map.entries for x in row))
-    a = IntMatrix(tuple(tuple(x.numerator * (den // x.denominator)
-                              for x in row) for row in w.map.entries))
-    try:
-        b, e = integer_inverse(a)
-    except SingularMatrixError:
-        raise SingularWitnessError("witness map is singular") from None
-    src = direct_sum_towers(summand_towers(w.src) * w.copies)
-    dst = direct_sum_towers(summand_towers(w.dst) * w.copies)
-    # (a / den)^-1 = den * b / e
-    inv = _reduced([tuple(den * x for x in row) for row in b.entries], e)
-    return (_maps_lattices_into(src, dst, a.entries, den)
-            and _maps_lattices_into(dst, src, *inv))
+    return w._valid
 
 
 @dataclass(frozen=True)

@@ -233,9 +233,10 @@ def _parse_witness_map(spec, path: str) -> tuple[int, RatMatrix]:
             or any(not isinstance(r, list) or len(r) != len(rows)
                    for r in rows)):
         _fail(f"{path}.matrix", "expected a square matrix")
-    return copies, RatMatrix.from_rows(
-        [[_parse_fraction(x, f"{path}.matrix[{i}][{j}]")
-          for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    # the entries are Fractions already: from_rows would build each again
+    return copies, RatMatrix(tuple(
+        tuple(_parse_fraction(x, f"{path}.matrix[{i}][{j}]")
+              for j, x in enumerate(row)) for i, row in enumerate(rows)))
 
 
 def parse_witness_file(text: str) -> Witness:

@@ -93,6 +93,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "0 fail" in out and "skipped" in out
 
+    def test_verify_gallery_checks_its_witness_once(self, capsys,
+                                                    monkeypatch):
+        # the entries of the packaged pair share one witness, checked once:
+        # one lattice check in each direction
+        calls = []
+        kernel = abelk.compare._maps_lattices_into
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(abelk.compare, "_maps_lattices_into", counted)
+        assert main(["verify-gallery"]) == 0
+        assert "0 fail" in capsys.readouterr().out
+        assert len(calls) == 2
+
     def test_verify_gallery_without_config(self, capsys):
         assert main(["verify-gallery", "--gallery-config", "none"]) == 0
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 and the batched residue walk it runs on."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -10,12 +11,14 @@ import pytest
 from abelk import (DimensionMismatchError, IntMatrix, RatMatrix,
                    SingularWitnessError, Tower, TowerForm, Witness,
                    check_witness, direct_sum_of)
+from abelk import towers
 from abelk.gallery import default_pair_config
 from abelk.matrices import integer_inverse, rational_inverse
 from abelk.towers import _first_stage_reaching_zero
 
 from conftest import (naive_check_witness, orbit_first_stage_mod,
-                      rand_tower, to_rational, unimodular_pair)
+                      rand_tower, to_rational, transition,
+                      unimodular_pair)
 
 
 def outcome(check, w):
@@ -29,6 +32,22 @@ def outcome(check, w):
 def conjugate(t: Tower, u: IntMatrix, ui: IntMatrix) -> Tower:
     return Tower(t.rank, tuple(u @ m @ ui for m in t.prefix),
                  tuple(u @ m @ ui for m in t.period))
+
+
+def tower_of_dets(rng: random.Random, rank: int, primes) -> Tower:
+    """A tower with prefix and period of 0-2 matrices, each U D V for
+    unimodular U, V and D diagonal with entries 1 or one of primes, so
+    that every determinant is +- a product of them."""
+    def mat():
+        d = [rng.choice(primes) if rng.random() < 0.5 else 1
+             for _ in range(rank)]
+        diag = IntMatrix.from_rows([[d[i] if i == j else 0
+                                     for j in range(rank)]
+                                    for i in range(rank)])
+        return unimodular_pair(rng, rank)[0] @ diag @ unimodular_pair(
+            rng, rank)[1]
+    return Tower(rank, tuple(mat() for _ in range(rng.randint(0, 2))),
+                 tuple(mat() for _ in range(rng.randint(0, 2))))
 
 
 def rand_map(rng: random.Random, u: IntMatrix) -> RatMatrix:
@@ -62,6 +81,25 @@ def rand_witness(rng: random.Random) -> Witness:
                    direct_sum_of(dst))
 
 
+def alpha_fold_witnesses(rng: random.Random, count: int):
+    """(valid, witness) pairs: a tower against a unimodular conjugate
+    U T U^-1, in 2-4 copies of total rank at most 9, through the
+    block-diagonal U, valid at every stage, and through U/2, valid only
+    when a stage clears the denominator 2 (None: not known)."""
+    for _ in range(count):
+        copies = rng.randint(2, 4)
+        t = rand_tower(rng, rng.randint(1, 9 // copies), max_prefix=2,
+                       max_period=2)
+        u, ui = unimodular_pair(rng, t.rank)
+        src, dst = TowerForm(t), TowerForm(conjugate(t, u, ui))
+        big = to_rational(functools.reduce(IntMatrix.block_diag,
+                                           [u] * copies))
+        halved = RatMatrix.from_rows([[x / 2 for x in row]
+                                      for row in big.entries])
+        yield True, Witness(copies, big, src, dst)
+        yield None, Witness(copies, halved, src, dst)
+
+
 class TestAgainstNaive:
     def test_random_witnesses(self):
         rng = random.Random(2024)
@@ -88,6 +126,26 @@ class TestAgainstNaive:
             bad = Witness(w.copies, RatMatrix.from_rows(rows), w.src, w.dst)
             assert outcome(check_witness, bad) == outcome(naive_check_witness,
                                                           bad)
+
+    def test_alpha_fold_witnesses(self):
+        seen = {True: 0, False: 0}
+        for valid, w in alpha_fold_witnesses(random.Random(77), 12):
+            want = naive_check_witness(w)
+            assert check_witness(w) is want, w
+            assert valid in (None, want)
+            seen[want] += 1
+        assert seen[False] >= 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_alpha_fold_check_builds_no_sum_entry(self, monkeypatch, seed):
+        # the copies are a direct sum that is walked and inverted block
+        # by block: no block-diagonal matrix is built
+        def refused(self):
+            raise AssertionError("direct sum entries built")
+
+        monkeypatch.setattr(towers._Sum, "_build", refused)
+        for _, w in alpha_fold_witnesses(random.Random(seed), 4):
+            check_witness(w)
 
     def test_singular_and_mismatched(self):
         cfg = default_pair_config()
@@ -136,6 +194,62 @@ class TestBatchedWalk:
                                for v in vecs]
             want = None if None in singles else max(singles)
             assert _first_stage_reaching_zero(t, stage, vecs, m) == want
+
+    @pytest.mark.parametrize("m, primes", [(18, (3,)), (100, (2, 3, 5, 7)),
+                                           (168, (2, 3, 5, 7)),
+                                           (100, (3, 7)), (168, (3,))])
+    def test_moduli_mixing_determinant_primes(self, m, primes):
+        # m has determinant primes and others: the part prime to every
+        # determinant met from the start stage on is settled at once, the
+        # rest walked; the walk starts past stage 0.  Each vector is a
+        # multiple of a divisor of m, or one that reaches 0 by some stage
+        rng = random.Random(m * 7 + len(primes))
+        divisors = [k for k in range(1, m + 1) if m % k == 0]
+        seen = {"none": 0, "start": 0, "walked": 0}
+        for _ in range(60):
+            t = tower_of_dets(rng, rng.randint(1, 3), primes)
+            stage = rng.randint(1, 4)
+            vecs = []
+            for _ in range(rng.randint(1, 2)):
+                w = [rng.randint(-9, 9) for _ in range(t.rank)]
+                if rng.random() < 0.5:
+                    vecs.append(tuple(rng.choice(divisors) * x for x in w))
+                    continue
+                # c b w with T(stage, s) b = e I and m | c e: 0 by stage s
+                b, e = integer_inverse(transition(t, stage,
+                                                  stage + rng.randint(1, 4)))
+                c = m // math.gcd(m, e)
+                vecs.append(tuple(c * x for x in b.apply(w)))
+            singles = [_first_stage_reaching_zero(t, stage, [v], m)
+                       for v in vecs]
+            assert singles == [orbit_first_stage_mod(t, stage, v, m)
+                               for v in vecs]
+            want = None if None in singles else max(singles)
+            assert _first_stage_reaching_zero(t, stage, vecs, m) == want
+            seen["none" if want is None else
+                 "start" if want == stage else "walked"] += 1
+        # when m is prime to every determinant nothing is ever walked
+        if math.gcd(m, math.prod(primes)) == 1:
+            del seen["walked"]
+        assert min(seen.values()) >= 3, seen
+
+    def test_coprime_residue_fails_before_any_stage(self, monkeypatch):
+        # determinants are powers of 3 and m = 18: (1, 0) is odd, and every
+        # map is invertible mod 2, so no stage can clear it
+        t = Tower(2, (IntMatrix.from_rows([[3, 1], [0, 1]]),),
+                  (IntMatrix.from_rows([[1, 1], [0, 9]]),))
+        assert orbit_first_stage_mod(t, 2, (1, 0), 18) is None
+
+        def refused(self, s):
+            raise AssertionError("stage matrix read")
+
+        monkeypatch.setattr(Tower, "stage_matrix", refused)
+        assert _first_stage_reaching_zero(t, 2, [(1, 0)], 18) is None
+        assert _first_stage_reaching_zero(t, 2, [(0, 6), (3, 1)], 18) is None
+        # 0 mod 18 already: no step, and no determinant is read
+        u = Tower(2, period=(IntMatrix.from_rows([[2, 1], [1, 3]]),))
+        assert _first_stage_reaching_zero(u, 2, [(18, -36)], 18) == 2
+        assert "connecting_dets" not in u.__dict__
 
     def test_no_vectors_reach_zero_at_once(self):
         t = Tower(1, period=(IntMatrix.from_rows([[2]]),))
