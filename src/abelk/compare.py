@@ -25,8 +25,8 @@ from .groups import (AbGroupDesc, CompletelyDecomposable, Copies, FreeOfRank,
 from .matrices import (IntMatrix, RatMatrix, SingularMatrixError,
                        integer_inverse)
 from .towers import (ZERO_CHARACTERISTIC, ZERO_TYPE, Tower, TypeClass,
-                     _first_stage_reaching_zero, _stage_value,
-                     direct_sum_towers, mod_p_rank)
+                     _first_stage_reaching_zero, _stage_counts, _stage_value,
+                     mod_p_rank)
 from .wedge import k1 as _k1
 
 ISOMORPHIC = "isomorphic"
@@ -96,12 +96,21 @@ class Witness:
             b, e = integer_inverse(a)
         except SingularMatrixError:
             raise SingularWitnessError("witness map is singular") from None
-        src = direct_sum_towers(summand_towers(self.src) * self.copies)
-        dst = direct_sum_towers(summand_towers(self.dst) * self.copies)
+        src = _blocks(summand_towers(self.src) * self.copies)
+        dst = _blocks(summand_towers(self.dst) * self.copies)
         # (a / den)^-1 = den * b / e
         inv = _reduced([tuple(den * x for x in row) for row in b.entries], e)
         return (_maps_lattices_into(src, dst, a.entries, den)
                 and _maps_lattices_into(dst, src, *inv))
+
+
+def _blocks(towers) -> list[tuple[int, Tower]]:
+    """(offset, tower) of each diagonal block of the direct sum of towers."""
+    out, offset = [], 0
+    for t in towers:
+        out.append((offset, t))
+        offset += t.rank
+    return out
 
 
 def _reduced(rows, d: int) -> tuple[list[tuple[int, ...]], int]:
@@ -113,44 +122,49 @@ def _reduced(rows, d: int) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(x // g for x in row) for row in rows], d // g
 
 
-def _maps_lattices_into(tower: Tower, other: Tower, rows, d: int) -> bool:
-    """Whether the matrix rows / d maps the stage-s lattice of tower into
-    the limit group of other for every s up to tower's prefix plus two
-    periods, read from its stage counts.
+def _maps_lattices_into(blocks, other, rows, d: int) -> bool:
+    """Whether the matrix rows / d maps the stage-s lattice of the direct
+    sum of blocks into the limit group of the direct sum of other, for
+    every s up to the blocks' longest prefix plus two of their common
+    periods (_stage_counts).  blocks and other list (offset, tower) of
+    each diagonal block.
 
     The stage-s generators are the columns of T(0, s)^-1, so their images
     are the columns of G_s = (rows / d) T(0, s)^-1, carried as integer
     rows over one denominator: G_s = G_(s-1) Q_(s-1)^-1.  Q is block
-    diagonal over tower.blocks (one block unless tower is a direct sum),
-    so it is inverted block by block: each block's integer_inverse, once
-    per block tower and position in its prefix and period, scaled to the
-    lcm of the block denominators, and a block past the prefix of an
-    empty period is the identity.  No entry of a direct sum is read.  All
-    n images are decided by one residue walk mod the denominator of G_s
-    in other, which goes block by block too.
+    diagonal, so it is inverted block by block: each block's
+    integer_inverse, once per block tower and position in its prefix and
+    period, scaled to the lcm of the block denominators; a block past the
+    prefix of an empty period is the identity.  All n images are decided
+    by one residue walk per block of other, mod the denominator of G_s,
+    on that block's slice of them: a vector of a direct sum lies in it iff
+    every slice lies in its block.  No block-diagonal matrix is built.
     """
-    a, b = tower.stage_counts
+    a, b = _stage_counts([f for _, f in blocks])
     inverses = {}
-    for s in range(a + 2 * max(1, b) + 1):
+    for s in range(a + 2 * b + 1):
         if s:
-            blocks = []
-            for i, f in tower.blocks:
+            stage = []
+            for i, f in blocks:
                 # the index of f's map at stage s - 1 among its prefix and
                 # period matrices, None for the identity
                 pos = _stage_value(f, s - 1, range(sum(f.stage_counts)),
                                    None)
                 if pos is None:
-                    blocks.append((i, f.rank, None, 1))
+                    stage.append((i, f.rank, None, 1))
                     continue
                 if (f, pos) not in inverses:
                     inv, e = integer_inverse(f.stage_matrix(s - 1))
                     inverses[f, pos] = tuple(zip(*inv.entries)), e
-                blocks.append((i, f.rank, *inverses[f, pos]))
-            e = math.lcm(*(e for *_, e in blocks))
-            rows, d = _reduced([_times_blocks(row, blocks, e)
+                stage.append((i, f.rank, *inverses[f, pos]))
+            e = math.lcm(*(e for *_, e in stage))
+            rows, d = _reduced([_times_blocks(row, stage, e)
                                 for row in rows], d * e)
-        if _first_stage_reaching_zero(other, 0, zip(*rows), d) is None:
-            return False
+        images = list(zip(*rows))
+        for i, f in other:
+            if _first_stage_reaching_zero(
+                    f, 0, [v[i:i + f.rank] for v in images], d) is None:
+                return False
     return True
 
 
@@ -180,10 +194,9 @@ def check_witness(w: Witness) -> bool:
 
     The check runs in integers.  The map is inverted once as an integer
     matrix over a denominator.  The towers are direct sums of the copies
-    of the summands (towers._Sum), whose entries are never built: each
-    stage map is inverted block by block, and one residue walk per stage
-    decides all generators at once, block by block, with the part of the
-    modulus prime to the block's determinants settled before any step
+    of the summands, and no block-diagonal matrix is built: each stage
+    map is inverted block by block, and per stage one residue walk in
+    each block of the target decides all generators at once
     (_maps_lattices_into).  A witness is checked once: the answer is kept
     on it, so the gallery's entries, which share one witness, check it
     once.  A witness that raises is checked again on the next call.

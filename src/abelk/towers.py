@@ -14,23 +14,16 @@ Divisibility, membership and p-heights are decided exactly:
   Fitting's lemma the chain stops growing within that many periods: a
   residue that is not 0 by then never becomes 0.  Walking the residues
   that far, checking for 0 at every stage, gives the least stage or
-  proves there is none.  Two splits shorten the walk.  The part of m
-  prime to every connecting determinant met from the start stage on is
-  split off first: every map is invertible modulo it, so a residue is 0
-  there at once or never, and only the rest of m is walked, with its own
-  Fitting bound.  A direct sum (_Sum) is walked block by block on each
-  block's slice of the vectors: a vector of the sum is 0 iff every block
-  is, so the answer is the latest block answer;
+  proves there is none;
 * by that same stage the kernel mod m of the map from stage 0 stops
   growing, so the wedge divisibility search reads it off the two unit
   vectors pushed that far.  No product of connecting matrices is formed
   but one: a p-rank multiplies the period matrices mod p, and over F_p
   the stable image has dimension r minus the multiplicity of 0 as an
   eigenvalue of that product Q, read off the characteristic polynomial
-  of Q mod p after a Hessenberg reduction.  Exterior powers, tensor
-  products and direct sums (wedge._Wedge, _Tensor, _Sum) compute their
-  p-ranks and determinant primes from the towers they are built from
-  instead;
+  of Q mod p after a Hessenberg reduction.  Exterior powers and tensor
+  products (wedge._Wedge, _Tensor) compute their p-ranks and determinant
+  primes from the towers they are built from instead;
 * infinite p-height is detected by a minimal-polynomial criterion: the
   p-valuation of the element's coordinates grows without bound iff every
   root of the minimal polynomial of the period product on the element's
@@ -124,15 +117,13 @@ class Tower:
     connecting matrices (_ratios) be (1, 1).
 
     A tower built from others, a _Built subclass (an exterior power
-    wedge._Wedge, a tensor product _Tensor, a direct sum _Sum), holds
-    only its recipe and makes its entries on first read of prefix or
-    period: by stage_matrix, the p-heights and membership pushes, or
-    ratios that its recipe does not settle.  It overrides the members
-    that read entries here (connecting_dets, _determinant_primes, _p_rank
-    and _ratios) to compute them from its recipe, so its hashing,
-    p-ranks, is_free and validate_tower read no entries.  A _Sum is also
-    walked (_first_stage_reaching_zero) and inverted (the witness check)
-    through its blocks, which read no entry of the sum.
+    wedge._Wedge, a tensor product _Tensor), holds only its recipe and
+    makes its entries on first read of prefix or period: by stage_matrix,
+    the p-heights and membership walks, or ratios that its recipe does
+    not settle.  It overrides the members that read entries here
+    (connecting_dets, _determinant_primes, _p_rank and _ratios) to
+    compute them from its recipe, so its hashing, p-ranks, is_free and
+    validate_tower read no entries.
     """
 
     rank: int
@@ -179,12 +170,6 @@ class Tower:
         return [_matrix_ratio(x, y)
                 for x, y in zip(self.prefix + self.period,
                                 other.prefix + other.period)]
-
-    @property
-    def blocks(self) -> tuple[tuple[int, "Tower"], ...]:
-        """(offset, tower) of each diagonal block that is no direct sum,
-        in order: the tower itself unless it is a _Sum."""
-        return ((0, self),)
 
     @functools.cached_property
     def stage_counts(self) -> tuple[int, int]:
@@ -330,49 +315,11 @@ def _first_stage_reaching_zero(t: Tower, stage: int, vecs,
 
     Exact: a residue that ever reaches 0 does so by _fitting_stage and
     stays 0 from then on, so one walk drops each vector once it is 0 and
-    fails if any is left at that stage.  A direct sum is walked block by
-    block on each block's slice of the vectors: a vector of the sum is 0
-    iff every slice is, so the answer is the latest block answer, or None
-    if a block has none.  No entry of the sum is read.
+    fails if any is left at that stage.
     """
-    if not isinstance(t, _Sum):
-        return _walk(t, stage, vecs, m)
-    vecs = list(vecs)
-    last = stage
-    for i, f in t.blocks:
-        s = _walk(f, stage, [v[i:i + f.rank] for v in vecs], m)
-        if s is None:
-            return None
-        last = max(last, s)
-    return last
-
-
-def _walk(t: Tower, stage: int, vecs, m: int) -> int | None:
-    """_first_stage_reaching_zero on a tower that is no direct sum.
-
-    m = m1 * m2, where m2 is the part of m prime to every connecting
-    determinant met from stage on.  Every map is invertible mod m2, so a
-    residue that is not 0 mod m2 now never is, and the answer is None at
-    once; otherwise only m1 is walked, up to its own Fitting bound.  The
-    determinants are read only when some residue is not 0 already.
-    """
+    last = _fitting_stage(t, stage, m)
     live = [cur for cur in (tuple(x % m for x in v) for v in vecs)
             if any(cur)]
-    if not live:
-        return stage
-    m2 = m
-    for d in t.connecting_dets[min(stage, t.stage_counts[0]):]:
-        g = math.gcd(m2, d)
-        while g > 1:
-            m2 //= g
-            g = math.gcd(m2, g)
-    if m2 > 1:
-        if any(x % m2 for v in live for x in v):
-            return None
-        m //= m2
-        live = [cur for cur in (tuple(x % m for x in v) for v in live)
-                if any(cur)]
-    last = _fitting_stage(t, stage, m)
     s = stage
     while live:
         if s == last:
@@ -625,68 +572,18 @@ def _stage_value(t: Tower, s: int, values, identity=1):
     return values[a + (s - a) % b] if b else identity
 
 
-class _Sum(_Built):
-    """Direct sum of summand towers: block-diagonal matrices stage by
-    stage, over _stage_counts(summands) stages, and no period when every
-    period matrix of every summand is the identity."""
-
-    def __init__(self, summands):
-        a, b = _stage_counts(summands)
-        if not any(map(_has_period, summands)):
-            b = 0
-        super().__init__(sum(f.rank for f in summands), (a, b),
-                         summands=tuple(summands))
-
-    def _build(self):
-        prefix, period = _stagewise(self.summands, IntMatrix.block_diag)
-        return prefix, period[:self.stage_counts[1]]
-
-    @functools.cached_property
-    def blocks(self) -> tuple[tuple[int, Tower], ...]:
-        out, offset = [], 0
-        for f in self.summands:
-            out.extend((offset + i, g) for i, g in f.blocks)
-            offset += f.rank
-        return tuple(out)
-
-    @functools.cached_property
-    def connecting_dets(self) -> tuple[int, ...]:
-        return tuple(math.prod(_stage_value(f, s, f.connecting_dets)
-                               for f in self.summands)
-                     for s in range(sum(self.stage_counts)))
-
-    @functools.cached_property
-    def _determinant_primes(self) -> frozenset[int]:
-        # every connecting matrix of a summand is a block of some stage
-        # matrix, but for a period dropped as the identity (det 1)
-        return frozenset().union(*(f.determinant_primes()
-                                   for f in self.summands))
-
-    def _p_rank(self, p: int) -> int:
-        """The sum of the summands' p-ranks: a block-diagonal period
-        product has the stable rank of its blocks together, and each
-        block's phase shift does not matter (see _Tensor._p_rank)."""
-        return sum(mod_p_rank(f, p) for f in self.summands)
-
-
-def _has_period(t: Tower) -> bool:
-    """Whether some period matrix of t is not the identity; a determinant
-    other than 1 tells without reading an entry."""
-    a, b = t.stage_counts
-    if not b:
-        return False
-    one = IntMatrix.identity(t.rank)
-    return (any(d != 1 for d in t.connecting_dets[a:])
-            or any(m != one for m in t.period))
-
-
 def direct_sum_towers(towers) -> Tower:
-    """Tower of the direct sum: block-diagonal matrices stage by stage,
-    built on first read (_Sum)."""
+    """Block-diagonal tower presenting the direct sum of the summands."""
     towers = list(towers)
     if not towers:
         raise ValueError("direct sum of no towers")
-    return towers[0] if len(towers) == 1 else _Sum(towers)
+    if len(towers) == 1:
+        return towers[0]
+    rank = sum(t.rank for t in towers)
+    prefix, period = _stagewise(towers, IntMatrix.block_diag)
+    if all(m == IntMatrix.identity(rank) for m in period):
+        return Tower(rank, prefix)
+    return Tower(rank, prefix, period)
 
 
 def is_free(t: Tower) -> bool:

@@ -246,23 +246,17 @@ def orbit_first_stage_mod(t: Tower, stage: int, vec, m: int) -> int | None:
     return best
 
 
-def dense(t: Tower) -> Tower:
-    """The plain tower of t's entries: a tower built from others (a
-    direct sum, say) read back as matrices, with nothing derived."""
-    return Tower(t.rank, t.prefix, t.period)
-
-
 def naive_check_witness(w) -> bool:
     """Reference witness check over Fraction: for each direction and each
     stage s up to the prefix plus two periods, rebuild T(0, s), invert it,
     apply the map to every generator column and test its membership one
-    column at a time, in the dense block-diagonal tower."""
+    column at a time."""
     def combined(f):
         towers = summand_towers(f)
         block = direct_sum_towers(towers) if len(towers) > 1 else towers[0]
         if w.copies > 1:
             block = direct_sum_towers([block] * w.copies)
-        return dense(block)
+        return block
 
     src, dst = combined(w.src), combined(w.dst)
     n = w.map.rows

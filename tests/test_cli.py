@@ -233,10 +233,10 @@ class TestExitCodes:
         assert "$.name" in capsys.readouterr().err
 
     def test_oversized_copies(self, files, capsys, monkeypatch):
-        def no_sums(towers):
-            raise AssertionError("direct sum built before the rank check")
+        def no_summands(f):
+            raise AssertionError("summands listed before the rank check")
 
-        monkeypatch.setattr(abelk.compare, "direct_sum_towers", no_sums)
+        monkeypatch.setattr(abelk.compare, "summand_towers", no_summands)
         tower = {"tower": {"rank": 2, "period": [[[2, 1], [1, 1]]]}}
         path = files("w.json", json.dumps(
             {"copies": 10 ** 6, "matrix": [[1, 0], [0, 1]],

@@ -210,11 +210,11 @@ class TestWitness:
     def test_oversized_copies_rejected_before_any_direct_sum(self,
                                                              monkeypatch):
         # the ranks come from the free parts, so a map that cannot fit is
-        # rejected without building a million-fold direct sum
-        def no_sums(towers):
-            raise AssertionError("direct sum built before the rank check")
+        # rejected before the summands of a million copies are listed
+        def no_summands(f):
+            raise AssertionError("summands listed before the rank check")
 
-        monkeypatch.setattr(compare, "direct_sum_towers", no_sums)
+        monkeypatch.setattr(compare, "summand_towers", no_summands)
         t = TowerForm(Tower(2, period=(IntMatrix.from_rows([[2, 1],
                                                             [1, 1]]),)))
         w = Witness(10 ** 6, RatMatrix.identity(2), t, t)

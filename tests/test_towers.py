@@ -1,7 +1,5 @@
 """Towers: membership, divisibility, heights, characteristics, types."""
 
-import functools
-import math
 import random
 from fractions import Fraction
 
@@ -14,11 +12,10 @@ from abelk import (GroupElement, INF, IntMatrix, Supernatural, Tower,
                    membership, push_to_stage, rank1_isomorphic,
                    rank1_tower_from_supernatural, tensor_towers, tower_type,
                    types_equivalent, unit_element, validate_tower)
-from abelk import towers
-from abelk.towers import _first_stage_reaching_zero, is_free, mod_p_rank
+from abelk.towers import is_free, mod_p_rank
 
-from conftest import (dense, naive_divisible, rand_tower, rat_apply,
-                      to_rational, transition, unroll_depth)
+from conftest import (naive_divisible, rand_tower, rat_apply, to_rational,
+                      transition, unroll_depth)
 
 
 def rank1(prefix=(), period=()):
@@ -371,88 +368,3 @@ class TestCombinations:
         assert mod_p_rank(t, 2) == 1
         assert mod_p_rank(t, 3) == 2
         assert mod_p_rank(Tower(4), 5) == 4
-
-
-def block_diagonal_sum(towers) -> Tower:
-    """Reference direct sum: the dense block-diagonal tower over the
-    longest prefix and the lcm of the period lengths, with no period when
-    every period matrix is the identity."""
-    a = max(len(t.prefix) for t in towers)
-    b = math.lcm(*(len(t.period) or 1 for t in towers))
-    maps = [functools.reduce(IntMatrix.block_diag,
-                             (t.stage_matrix(s) for t in towers))
-            for s in range(a + b)]
-    rank = sum(t.rank for t in towers)
-    period = tuple(maps[a:])
-    if all(m == IntMatrix.identity(rank) for m in period):
-        period = ()
-    return Tower(rank, tuple(maps[:a]), period)
-
-
-def rand_sum(rng: random.Random, nested: bool = True):
-    """(direct_sum_towers of 2-3 summands, block_diagonal_sum of the
-    same): random towers of rank 1-2, towers whose period is identities,
-    and (when nested) direct sums themselves."""
-    sums, refs = [], []
-    for _ in range(rng.randint(2, 3)):
-        kind = rng.randrange(4)
-        if kind == 0 and nested:
-            s, ref = rand_sum(rng, nested=False)
-        else:
-            r = rng.randint(1, 2)
-            s = rand_tower(rng, r, max_prefix=2, max_period=2)
-            if kind == 1:
-                s = Tower(r, s.prefix,
-                          (IntMatrix.identity(r),) * rng.randint(1, 2))
-            ref = s
-        sums.append(s)
-        refs.append(ref)
-    return direct_sum_towers(sums), block_diagonal_sum(refs)
-
-
-class TestDirectSum:
-    """A direct sum (towers._Sum) derives its invariants from its
-    summands and is walked block by block; its entries, built only when
-    read, are the block-diagonal ones."""
-
-    def test_derived_members_match_the_entries(self):
-        rng = random.Random(59)
-        for _ in range(60):
-            s, ref = rand_sum(rng)
-            assert isinstance(s, towers._Sum)
-            dets, primes = s.connecting_dets, s.determinant_primes()
-            ranks = [mod_p_rank(s, p) for p in (2, 3, 5, 7, 11)]
-            cases = []
-            for m in (4, 6, 18, 100, 168):
-                stage = rng.randint(0, 3)
-                vecs = [tuple(rng.choice((1, m // 2, m)) * rng.randint(-9, 9)
-                              for _ in range(s.rank))
-                        for _ in range(rng.randint(1, 3))]
-                cases.append((stage, vecs, m, _first_stage_reaching_zero(
-                    s, stage, vecs, m)))
-            assert hash(s) == hash(ref)
-            assert "_entries" not in s.__dict__
-            # the entries are the reference's, and every derived member
-            # agrees with the plain tower of them
-            assert s.stage_counts == ref.stage_counts
-            assert (s.prefix, s.period) == (ref.prefix, ref.period)
-            t = dense(s)
-            assert dets == t.connecting_dets
-            assert primes == t.determinant_primes()
-            assert ranks == [mod_p_rank(t, p) for p in (2, 3, 5, 7, 11)]
-            assert s == t and t == s and hash(s) == hash(t)
-            for stage, vecs, m, got in cases:
-                assert got == _first_stage_reaching_zero(t, stage, vecs, m)
-
-    def test_identity_periods_leave_no_period(self):
-        one = rank1(prefix=[6])
-        ident = Tower(2, period=(IntMatrix.identity(2),) * 2)
-        s = direct_sum_towers([one, ident])
-        assert s.stage_counts == (1, 0) and s.period == ()
-        assert s == Tower(3, (IntMatrix.from_rows(
-            [[6, 0, 0], [0, 1, 0], [0, 0, 1]]),))
-
-    def test_blocks_flatten_nested_sums(self):
-        a, b, c = rank1(period=[2]), rank1(period=[3]), DOUBLING
-        s = direct_sum_towers([direct_sum_towers([a, b]), c])
-        assert s.blocks == ((0, a), (1, b), (2, c))

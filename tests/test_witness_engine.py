@@ -11,7 +11,6 @@ import pytest
 from abelk import (DimensionMismatchError, IntMatrix, RatMatrix,
                    SingularWitnessError, Tower, TowerForm, Witness,
                    check_witness, direct_sum_of)
-from abelk import towers
 from abelk.gallery import default_pair_config
 from abelk.matrices import integer_inverse, rational_inverse
 from abelk.towers import _first_stage_reaching_zero
@@ -137,14 +136,17 @@ class TestAgainstNaive:
         assert seen[False] >= 3
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_alpha_fold_check_builds_no_sum_entry(self, monkeypatch, seed):
-        # the copies are a direct sum that is walked and inverted block
-        # by block: no block-diagonal matrix is built
-        def refused(self):
-            raise AssertionError("direct sum entries built")
+    def test_alpha_fold_check_builds_no_block_diagonal_matrix(
+            self, monkeypatch, seed):
+        # the copies are inverted and walked block by block: no
+        # block-diagonal matrix of the direct sum is built
+        def refused(*args):
+            raise AssertionError("block-diagonal matrix built")
 
-        monkeypatch.setattr(towers._Sum, "_build", refused)
-        for _, w in alpha_fold_witnesses(random.Random(seed), 4):
+        witnesses = [w for _, w in alpha_fold_witnesses(random.Random(seed),
+                                                          4)]
+        monkeypatch.setattr(IntMatrix, "block_diag", refused)
+        for w in witnesses:
             check_witness(w)
 
     def test_singular_and_mismatched(self):
@@ -199,10 +201,9 @@ class TestBatchedWalk:
                                            (168, (2, 3, 5, 7)),
                                            (100, (3, 7)), (168, (3,))])
     def test_moduli_mixing_determinant_primes(self, m, primes):
-        # m has determinant primes and others: the part prime to every
-        # determinant met from the start stage on is settled at once, the
-        # rest walked; the walk starts past stage 0.  Each vector is a
-        # multiple of a divisor of m, or one that reaches 0 by some stage
+        # m has determinant primes and others, and the walk starts past
+        # stage 0.  Each vector is a multiple of a divisor of m, or one
+        # that reaches 0 by some stage
         rng = random.Random(m * 7 + len(primes))
         divisors = [k for k in range(1, m + 1) if m % k == 0]
         seen = {"none": 0, "start": 0, "walked": 0}
@@ -228,28 +229,11 @@ class TestBatchedWalk:
             assert _first_stage_reaching_zero(t, stage, vecs, m) == want
             seen["none" if want is None else
                  "start" if want == stage else "walked"] += 1
-        # when m is prime to every determinant nothing is ever walked
+        # when m is prime to every determinant every map is invertible
+        # mod m: a vector is 0 at once or never
         if math.gcd(m, math.prod(primes)) == 1:
             del seen["walked"]
         assert min(seen.values()) >= 3, seen
-
-    def test_coprime_residue_fails_before_any_stage(self, monkeypatch):
-        # determinants are powers of 3 and m = 18: (1, 0) is odd, and every
-        # map is invertible mod 2, so no stage can clear it
-        t = Tower(2, (IntMatrix.from_rows([[3, 1], [0, 1]]),),
-                  (IntMatrix.from_rows([[1, 1], [0, 9]]),))
-        assert orbit_first_stage_mod(t, 2, (1, 0), 18) is None
-
-        def refused(self, s):
-            raise AssertionError("stage matrix read")
-
-        monkeypatch.setattr(Tower, "stage_matrix", refused)
-        assert _first_stage_reaching_zero(t, 2, [(1, 0)], 18) is None
-        assert _first_stage_reaching_zero(t, 2, [(0, 6), (3, 1)], 18) is None
-        # 0 mod 18 already: no step, and no determinant is read
-        u = Tower(2, period=(IntMatrix.from_rows([[2, 1], [1, 3]]),))
-        assert _first_stage_reaching_zero(u, 2, [(18, -36)], 18) == 2
-        assert "connecting_dets" not in u.__dict__
 
     def test_no_vectors_reach_zero_at_once(self):
         t = Tower(1, period=(IntMatrix.from_rows([[2]]),))
